@@ -15,6 +15,7 @@ import (
 
 	"ldiv"
 	"ldiv/internal/core"
+	"ldiv/internal/dataset"
 	"ldiv/internal/experiment"
 	"ldiv/internal/hilbert"
 	"ldiv/internal/metrics"
@@ -208,10 +209,10 @@ func BenchmarkPhase3Frequency(b *testing.B) {
 func BenchmarkTable6_DatasetGeneration(b *testing.B) {
 	skipIfShort(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := ldiv.GenerateSAL(10000, int64(i)+1); err != nil {
+		if _, err := dataset.Generate("sal", dataset.Config{Rows: 10000, Seed: int64(i) + 1}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ldiv.GenerateOCC(10000, int64(i)+1); err != nil {
+		if _, err := dataset.Generate("occ", dataset.Config{Rows: 10000, Seed: int64(i) + 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +401,7 @@ func BenchmarkTableOps(b *testing.B) {
 			t := ldiv.NewTable(sal4.Schema())
 			for r := 0; r < n; r++ {
 				for j := 0; j < d; j++ {
-					row[j] = sal4.QIValue(r, j)
+					row[j] = sal4.QIAt(r, j)
 				}
 				t.MustAppendRow(row, sal4.SAValue(r))
 			}

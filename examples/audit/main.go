@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	base, err := ldiv.GenerateSAL(20000, 5)
+	base, err := ldiv.GenerateDataset("sal", 20000, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

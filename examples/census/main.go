@@ -22,9 +22,9 @@ func main() {
 		var base *ldiv.Table
 		var err error
 		if ds == "SAL" {
-			base, err = ldiv.GenerateSAL(*rows, *seed)
+			base, err = ldiv.GenerateDataset("sal", *rows, *seed)
 		} else {
-			base, err = ldiv.GenerateOCC(*rows, *seed)
+			base, err = ldiv.GenerateDataset("occ", *rows, *seed)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	base, err := ldiv.GenerateSAL(20000, 3)
+	base, err := ldiv.GenerateDataset("sal", 20000, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func main() {
 	ageCol := 0
 	byKey := make(map[string][]int)
 	for i := 0; i < t.Len(); i++ {
-		decade := t.QIValue(i, ageCol) / 10
-		key := fmt.Sprintf("%d|%d|%d|%d", decade, t.QIValue(i, 1), t.QIValue(i, 2), t.QIValue(i, 3))
+		decade := t.QIAt(i, ageCol) / 10
+		key := fmt.Sprintf("%d|%d|%d|%d", decade, t.QIAt(i, 1), t.QIAt(i, 2), t.QIAt(i, 3))
 		byKey[key] = append(byKey[key], i)
 	}
 	groups := make([][]int, 0, len(byKey))

@@ -18,7 +18,7 @@ func main() {
 	)
 	// 1. Obtain microdata. Here we generate a synthetic SAL-like census
 	//    table; real data can be loaded with ldiv.ReadCSV.
-	base, err := ldiv.GenerateSAL(rows, 1)
+	base, err := ldiv.GenerateDataset("sal", rows, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

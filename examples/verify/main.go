@@ -22,7 +22,7 @@ import (
 
 func main() {
 	// A census sample, anonymized with TP+ at l = 4.
-	base, err := ldiv.GenerateSAL(5000, 3)
+	base, err := ldiv.GenerateDataset("sal", 5000, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

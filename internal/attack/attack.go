@@ -10,7 +10,6 @@ package attack
 
 import (
 	"fmt"
-	"sort"
 
 	"ldiv/internal/generalize"
 	"ldiv/internal/table"
@@ -57,6 +56,12 @@ func (r *Report) BreachProbability(l int) float64 {
 // of Section 2, "anonymization principles") and the published table; their
 // matching set for individual i is the set of published rows whose cells
 // cover i's QI values.
+//
+// Individuals sharing a QI vector share a matching set, so the attack runs
+// once per GroupByQI group, in that deterministic order. An exact group (no
+// star, no set) covers only its own QI vector, so its part of the matching
+// set is the group's exact rows; only the general groups are tested for
+// coverage.
 func Audit(g *generalize.Generalized) (*Report, error) {
 	t := g.Source
 	n := t.Len()
@@ -64,86 +69,61 @@ func Audit(g *generalize.Generalized) (*Report, error) {
 	if n == 0 {
 		return rep, nil
 	}
-	d := t.Dimensions()
+	exact, general := g.SplitExact()
 
-	// The matching set of an individual is the union of the QI-groups whose
-	// published cells cover the individual's QI values. Group the published
-	// rows by their cell signature so each signature is tested once per
-	// distinct original QI vector.
-	type bucket struct {
+	type saCount struct{ v, c int32 }
+	type group struct {
 		cells []generalize.Cell
-		hist  map[int]int
 		size  int
+		hist  []saCount
 	}
-	var buckets []*bucket
-	bySig := make(map[string]*bucket)
-	for _, rows := range g.Partition.Groups {
-		if len(rows) == 0 {
-			continue
+	generals := make([]group, len(general))
+	counter := t.SAGroupCounter()
+	for k, gi := range general {
+		rows := g.Partition.Groups[gi]
+		counts, vals := counter.Count(rows)
+		hist := make([]saCount, len(vals))
+		for i, v := range vals {
+			hist[i] = saCount{v: v, c: counts[v]}
 		}
-		cells := g.Cells[rows[0]]
-		sig := cellSignature(cells)
-		b, ok := bySig[sig]
-		if !ok {
-			b = &bucket{cells: cells, hist: make(map[int]int)}
-			bySig[sig] = b
-			buckets = append(buckets, b)
-		}
-		for _, r := range rows {
-			b.hist[t.SAValue(r)]++
-			b.size++
-		}
+		generals[k] = group{cells: g.Cells[rows[0]], size: len(rows), hist: hist}
 	}
 
-	// Distinct original QI vectors, so the compatibility test runs once per
-	// vector rather than once per row.
-	type profile struct {
-		rows []int
-	}
-	profiles := make(map[string]*profile)
-	for i := 0; i < n; i++ {
-		k := t.QIKey(i)
-		p, ok := profiles[k]
-		if !ok {
-			p = &profile{}
-			profiles[k] = p
-		}
-		p.rows = append(p.rows, i)
-	}
-
-	// The representative's QI codes are gathered once per profile, so the
-	// bucket-coverage scan reads a flat buffer instead of calling back into
-	// the table per cell test.
-	qiBuf := make([]int, d)
+	sa := t.SAView()
+	matchHist := make([]int, t.SADomainSize())
+	qi := make([]int, t.Dimensions())
+	var covering []int
 	total := 0.0
-	for _, p := range profiles {
-		rep0 := p.rows[0]
-		for j := 0; j < d; j++ {
-			qiBuf[j] = t.QIAt(rep0, j)
+	for _, rows := range t.GroupByQI() {
+		for j := range qi {
+			qi[j] = t.QIAt(rows[0], j)
 		}
 		matchSize := 0
-		matchHist := make(map[int]int)
-		for _, b := range buckets {
-			covered := true
-			for j := 0; j < d; j++ {
-				if !b.cells[j].Covers(qiBuf[j]) {
-					covered = false
-					break
+		for _, r := range rows {
+			if exact[r] {
+				matchHist[sa[r]]++
+				matchSize++
+			}
+		}
+		covering = covering[:0]
+	scan:
+		for k, gr := range generals {
+			for j, c := range gr.cells {
+				if !c.Covers(qi[j]) {
+					continue scan
 				}
 			}
-			if !covered {
-				continue
-			}
-			matchSize += b.size
-			for v, c := range b.hist {
-				matchHist[v] += c
+			covering = append(covering, k)
+			matchSize += gr.size
+			for _, h := range gr.hist {
+				matchHist[h.v] += int(h.c)
 			}
 		}
 		if matchSize == 0 {
-			return nil, fmt.Errorf("attack: row %d is not covered by any published group", rep0)
+			return nil, fmt.Errorf("attack: row %d is not covered by any published group", rows[0])
 		}
-		for _, i := range p.rows {
-			conf := float64(matchHist[t.SAValue(i)]) / float64(matchSize)
+		for _, i := range rows {
+			conf := float64(matchHist[sa[i]]) / float64(matchSize)
 			rep.Confidences[i] = conf
 			total += conf
 			if conf >= 1-1e-12 {
@@ -151,6 +131,14 @@ func Audit(g *generalize.Generalized) (*Report, error) {
 			}
 			if conf > rep.MaxConfidence {
 				rep.MaxConfidence = conf
+			}
+		}
+		for _, i := range rows {
+			matchHist[sa[i]] = 0
+		}
+		for _, k := range covering {
+			for _, h := range generals[k].hist {
+				matchHist[h.v] = 0
 			}
 		}
 	}
@@ -166,27 +154,4 @@ func AuditPartition(t *table.Table, p *generalize.Partition) (*Report, error) {
 		return nil, err
 	}
 	return Audit(g)
-}
-
-// cellSignature renders a stable key for a row of published cells.
-func cellSignature(cells []generalize.Cell) string {
-	s := ""
-	for _, c := range cells {
-		switch c.Kind {
-		case generalize.CellExact:
-			s += fmt.Sprintf("e%d|", c.Value)
-		case generalize.CellStar:
-			s += "*|"
-		default:
-			vals := make([]int, len(c.Set))
-			copy(vals, c.Set)
-			sort.Ints(vals)
-			s += "s"
-			for _, v := range vals {
-				s += fmt.Sprintf("%d.", v)
-			}
-			s += "|"
-		}
-	}
-	return s
 }

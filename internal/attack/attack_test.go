@@ -1,11 +1,14 @@
 package attack
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ldiv/internal/core"
+	"ldiv/internal/dataset"
 	"ldiv/internal/eligibility"
 	"ldiv/internal/generalize"
 	"ldiv/internal/hilbert"
@@ -155,5 +158,42 @@ func TestRawTableFullyDisclosed(t *testing.T) {
 	}
 	if rep.Disclosed != 10 || rep.MeanConfidence != 1 {
 		t.Errorf("raw publication should disclose everyone: %+v", rep)
+	}
+}
+
+// TestAuditDeterministic is the regression test for an audit whose
+// MeanConfidence depended on map iteration order: the confidences are summed
+// as floats, so repeated audits of one release must visit the QI profiles in
+// the same order and return bit-identical reports.
+func TestAuditDeterministic(t *testing.T) {
+	base, err := dataset.Generate("sal", dataset.Config{Rows: 5000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := base.ProjectNames([]string{"Age", "Gender", "Race", "Marital Status"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.NewHybridAnonymizer(4, hilbert.NewSuppressor(4)).Anonymize(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := AuditPartition(tbl, res.Partition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		rep, err := AuditPartition(tbl, res.Partition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rep.MeanConfidence) != math.Float64bits(first.MeanConfidence) ||
+			rep.MaxConfidence != first.MaxConfidence || rep.Disclosed != first.Disclosed {
+			t.Fatalf("audit %d differs: mean %.17g max %g disclosed %d, first mean %.17g max %g disclosed %d",
+				i, rep.MeanConfidence, rep.MaxConfidence, rep.Disclosed, first.MeanConfidence, first.MaxConfidence, first.Disclosed)
+		}
+		if !slices.Equal(rep.Confidences, first.Confidences) {
+			t.Fatalf("audit %d: per-row confidences differ", i)
+		}
 	}
 }

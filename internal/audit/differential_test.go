@@ -195,7 +195,7 @@ func TestDifferentialAllAlgorithmsPassAudit(t *testing.T) {
 // microdata (a SAL sample with the paper's Table-6 domains) instead of the
 // small randomized shapes.
 func TestDifferentialCensusSample(t *testing.T) {
-	base, err := ldiv.GenerateSAL(400, 7)
+	base, err := ldiv.GenerateDataset("sal", 400, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

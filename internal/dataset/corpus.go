@@ -38,8 +38,8 @@ type Family struct {
 }
 
 // The corpus catalog, in registration order (the order Families reports and
-// the README documents). The two census families come first so the registry
-// subsumes the original GenerateSAL/GenerateOCC entry points.
+// the README documents). The two census families, the tables every figure
+// runs on, come first.
 var families = []*Family{
 	{
 		Name:        "sal",
@@ -282,7 +282,7 @@ func validateCorrSA(t *table.Table, cfg Config) error {
 	card := t.Schema().QI(0).Cardinality()
 	joint := make([]int, card*t.SADomainSize())
 	for i := 0; i < n; i++ {
-		joint[t.QIValue(i, 0)*t.SADomainSize()+t.SAValue(i)]++
+		joint[t.QIAt(i, 0)*t.SADomainSize()+t.SAValue(i)]++
 	}
 	hits := 0
 	for v := 0; v < card; v++ {
@@ -462,7 +462,7 @@ func validateDeepTaxonomy(t *table.Table, cfg Config) error {
 	seen := make([]bool, card)
 	distinct := 0
 	for i := 0; i < n; i++ {
-		v := t.QIValue(i, 0)
+		v := t.QIAt(i, 0)
 		if v < hotCut {
 			hotRows++
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRegistryShape pins the catalog contract: registration order starts
-// with the census families (the registry subsumes GenerateSAL/GenerateOCC),
+// with the census families ("sal" and "occ", the tables every figure runs on),
 // every name is unique kebab-case, and Lookup is case-insensitive.
 func TestRegistryShape(t *testing.T) {
 	names := Families()

@@ -64,25 +64,6 @@ type Config struct {
 // DefaultConfig returns the paper-scale configuration (600k rows).
 func DefaultConfig() Config { return Config{Rows: 600000, Seed: 1} }
 
-// GenerateSAL generates a SAL-like table: the seven QI attributes of Table 6
-// with Income (50 values) as the sensitive attribute.
-//
-// Deprecated: SAL is the "sal" entry of the scenario-corpus registry; new
-// callers should use Generate("sal", cfg) (or GenerateValidated) so the
-// family self-check and catalog tooling see the same entry point.
-func GenerateSAL(cfg Config) (*table.Table, error) {
-	return Generate("sal", cfg)
-}
-
-// GenerateOCC generates an OCC-like table: the same QI attributes with
-// Occupation (50 values) as the sensitive attribute.
-//
-// Deprecated: OCC is the "occ" entry of the scenario-corpus registry; new
-// callers should use Generate("occ", cfg) (or GenerateValidated).
-func GenerateOCC(cfg Config) (*table.Table, error) {
-	return Generate("occ", cfg)
-}
-
 func generate(cfg Config, saName string, saCard int) (*table.Table, error) {
 	if cfg.Rows <= 0 {
 		return nil, fmt.Errorf("dataset: Rows must be positive, got %d", cfg.Rows)

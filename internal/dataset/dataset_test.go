@@ -9,11 +9,11 @@ import (
 // TestTable6DomainSizes pins the generator to the attribute domains of the
 // paper's Table 6.
 func TestTable6DomainSizes(t *testing.T) {
-	sal, err := GenerateSAL(Config{Rows: 2000, Seed: 1})
+	sal, err := Generate("sal", Config{Rows: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	occ, err := GenerateOCC(Config{Rows: 2000, Seed: 1})
+	occ, err := Generate("occ", Config{Rows: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +39,18 @@ func TestTable6DomainSizes(t *testing.T) {
 }
 
 func TestGenerateDeterministicAndEligible(t *testing.T) {
-	a, err := GenerateSAL(Config{Rows: 5000, Seed: 7})
+	a, err := Generate("sal", Config{Rows: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateSAL(Config{Rows: 5000, Seed: 7})
+	b, err := Generate("sal", Config{Rows: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Equal(b) {
 		t.Error("same seed produced different tables")
 	}
-	c, err := GenerateSAL(Config{Rows: 5000, Seed: 8})
+	c, err := Generate("sal", Config{Rows: 5000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,16 @@ func TestGenerateDeterministicAndEligible(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := GenerateSAL(Config{Rows: 0}); err == nil {
+	if _, err := Generate("sal", Config{Rows: 0}); err == nil {
 		t.Error("zero rows accepted")
 	}
-	if _, err := GenerateOCC(Config{Rows: -5}); err == nil {
+	if _, err := Generate("occ", Config{Rows: -5}); err == nil {
 		t.Error("negative rows accepted")
 	}
 }
 
 func TestGeneratedValuesCoverDomains(t *testing.T) {
-	tbl, err := GenerateOCC(Config{Rows: 60000, Seed: 3})
+	tbl, err := Generate("occ", Config{Rows: 60000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGeneratedValuesCoverDomains(t *testing.T) {
 	for j := 0; j < tbl.Dimensions(); j++ {
 		seen := make(map[int]bool)
 		for i := 0; i < tbl.Len(); i++ {
-			seen[tbl.QIValue(i, j)] = true
+			seen[tbl.QIAt(i, j)] = true
 		}
 		card := tbl.Schema().QI(j).Cardinality()
 		if len(seen) < card/2 {
@@ -139,7 +139,7 @@ func TestProjections(t *testing.T) {
 }
 
 func TestProjectionTables(t *testing.T) {
-	base, err := GenerateSAL(Config{Rows: 1000, Seed: 1})
+	base, err := Generate("sal", Config{Rows: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestProjectionTables(t *testing.T) {
 // enumerators in one table: d outside [1, len(QINames)] is always an error,
 // and every non-positive maxTables means "no cap", not "no tables".
 func TestProjectionsEdgeCases(t *testing.T) {
-	base, err := GenerateSAL(Config{Rows: 50, Seed: 1})
+	base, err := Generate("sal", Config{Rows: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

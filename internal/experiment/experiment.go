@@ -126,7 +126,7 @@ func NewRunner(cfg Config) *Runner { return &Runner{Cfg: cfg} }
 // SAL returns (generating on first use) the synthetic SAL base table.
 func (r *Runner) SAL() (*table.Table, error) {
 	if r.sal == nil {
-		t, err := dataset.GenerateSAL(dataset.Config{Rows: r.Cfg.Rows, Seed: r.Cfg.Seed})
+		t, err := dataset.Generate("sal", dataset.Config{Rows: r.Cfg.Rows, Seed: r.Cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func (r *Runner) SAL() (*table.Table, error) {
 // OCC returns (generating on first use) the synthetic OCC base table.
 func (r *Runner) OCC() (*table.Table, error) {
 	if r.occ == nil {
-		t, err := dataset.GenerateOCC(dataset.Config{Rows: r.Cfg.Rows, Seed: r.Cfg.Seed + 1})
+		t, err := dataset.Generate("occ", dataset.Config{Rows: r.Cfg.Rows, Seed: r.Cfg.Seed + 1})
 		if err != nil {
 			return nil, err
 		}

@@ -132,10 +132,36 @@ func (c Cell) Label(a *table.Attribute) string {
 
 // Generalized is a published table T*: the original rows (SA values retained)
 // with each QI value replaced by a Cell, plus the partition that produced it.
+// A release is constant within a QI-group, so its cells are stored once per
+// group: Cells[row] is the cell slice of the row's group, shared by every row
+// of that group and read-only.
 type Generalized struct {
 	Source    *table.Table
 	Partition *Partition
-	Cells     [][]Cell // Cells[row][qiColumn]
+	Cells     [][]Cell // Cells[row][qiColumn]; the rows of a group share one slice
+}
+
+// newGeneralized is the one constructor of a release: groupCells[gi] holds
+// the cells of partition group gi, and every row of the group points at it.
+func newGeneralized(t *table.Table, p *Partition, groupCells [][]Cell) *Generalized {
+	cells := make([][]Cell, t.Len())
+	for gi, rows := range p.Groups {
+		for _, r := range rows {
+			cells[r] = groupCells[gi]
+		}
+	}
+	return &Generalized{Source: t, Partition: p, Cells: cells}
+}
+
+// cellsPerGroup allocates one d-cell slice per group out of a single backing
+// array; capacities are capped so the slices never overlap.
+func cellsPerGroup(groups, d int) [][]Cell {
+	flat := make([]Cell, groups*d)
+	out := make([][]Cell, groups)
+	for gi := range out {
+		out[gi] = flat[gi*d : (gi+1)*d : (gi+1)*d]
+	}
+	return out
 }
 
 // Suppress applies Definition 1: for each QI-group, an attribute keeps its
@@ -146,31 +172,21 @@ func Suppress(t *table.Table, p *Partition) (*Generalized, error) {
 		return nil, err
 	}
 	d := t.Dimensions()
-	cells := make([][]Cell, t.Len())
-	for i := range cells {
-		cells[i] = make([]Cell, d)
-	}
+	cells := cellsPerGroup(len(p.Groups), d)
 	for j := 0; j < d; j++ {
 		col := t.Col(j)
-		for _, g := range p.Groups {
-			same := true
+		for gi, g := range p.Groups {
 			first := col[g[0]]
+			cells[gi][j] = Cell{Kind: CellExact, Value: int(first)}
 			for _, r := range g[1:] {
 				if col[r] != first {
-					same = false
+					cells[gi][j] = Cell{Kind: CellStar}
 					break
-				}
-			}
-			for _, r := range g {
-				if same {
-					cells[r][j] = Cell{Kind: CellExact, Value: int(first)}
-				} else {
-					cells[r][j] = Cell{Kind: CellStar}
 				}
 			}
 		}
 	}
-	return &Generalized{Source: t, Partition: p, Cells: cells}, nil
+	return newGeneralized(t, p, cells), nil
 }
 
 // MultiDimensional builds the multi-dimensional generalization induced by a
@@ -184,17 +200,14 @@ func MultiDimensional(t *table.Table, p *Partition) (*Generalized, error) {
 		return nil, err
 	}
 	d := t.Dimensions()
-	cells := make([][]Cell, t.Len())
-	for i := range cells {
-		cells[i] = make([]Cell, d)
-	}
+	cells := cellsPerGroup(len(p.Groups), d)
 	for j := 0; j < d; j++ {
 		col := t.Col(j)
 		// Dense membership scratch over the attribute's domain, re-zeroed per
 		// group by undoing only the codes the group touched.
 		seen := make([]bool, t.Schema().QI(j).Cardinality())
 		var vals []int
-		for _, g := range p.Groups {
+		for gi, g := range p.Groups {
 			for _, v := range vals {
 				seen[v] = false
 			}
@@ -205,67 +218,62 @@ func MultiDimensional(t *table.Table, p *Partition) (*Generalized, error) {
 					vals = append(vals, v)
 				}
 			}
-			var cell Cell
 			if len(vals) == 1 {
-				cell = Cell{Kind: CellExact, Value: vals[0]}
+				cells[gi][j] = Cell{Kind: CellExact, Value: vals[0]}
 			} else {
 				set := make([]int, len(vals))
 				copy(set, vals)
 				sort.Ints(set)
-				cell = Cell{Kind: CellSet, Set: set}
-			}
-			for _, r := range g {
-				cells[r][j] = cell
+				cells[gi][j] = Cell{Kind: CellSet, Set: set}
 			}
 		}
 	}
-	return &Generalized{Source: t, Partition: p, Cells: cells}, nil
+	return newGeneralized(t, p, cells), nil
 }
 
-// FromCells builds a Generalized directly from per-row cells, for algorithms
-// (such as single-dimensional generalization) that do not naturally produce a
-// row partition. The partition is recovered by grouping rows with identical
-// published cells.
-func FromCells(t *table.Table, cells [][]Cell) (*Generalized, error) {
-	if len(cells) != t.Len() {
-		return nil, fmt.Errorf("generalize: %d cell rows for %d table rows", len(cells), t.Len())
+// Recode publishes a single-dimensional recoding: attribute j publishes
+// cellOf[j][code] for value code, and groups holds the rows of each recoded
+// signature (as table.GroupBySignature returns them), so a group's cells are
+// read off its first row. The groups become the release's partition.
+func Recode(t *table.Table, groups [][]int, cellOf [][]Cell) (*Generalized, error) {
+	if len(cellOf) != t.Dimensions() {
+		return nil, fmt.Errorf("generalize: %d recodings for %d QI attributes", len(cellOf), t.Dimensions())
 	}
-	keyOf := func(row []Cell) string {
-		s := ""
-		for _, c := range row {
-			switch c.Kind {
-			case CellExact:
-				s += fmt.Sprintf("e%d|", c.Value)
-			case CellStar:
-				s += "*|"
-			default:
-				s += "s"
-				for _, v := range c.Set {
-					s += fmt.Sprintf("%d.", v)
-				}
-				s += "|"
-			}
+	p := &Partition{Groups: groups}
+	if err := p.Validate(t); err != nil {
+		return nil, err
+	}
+	cells := cellsPerGroup(len(groups), t.Dimensions())
+	for j, recode := range cellOf {
+		col := t.Col(j)
+		for gi, rows := range groups {
+			cells[gi][j] = recode[col[rows[0]]]
 		}
-		return s
 	}
-	byKey := make(map[string][]int)
-	for i, row := range cells {
-		if len(row) != t.Dimensions() {
-			return nil, fmt.Errorf("generalize: row %d has %d cells, expected %d", i, len(row), t.Dimensions())
+	return newGeneralized(t, p, cells), nil
+}
+
+// SplitExact separates the groups that publish every QI value exactly from
+// the general ones. An exact group covers only its own QI vector, so a
+// consumer matching QI vectors against the release (the KL-divergence, the
+// linking attack) reads exact rows off the mask and scans only the general
+// groups, returned as indices into Partition.Groups in partition order.
+func (g *Generalized) SplitExact() (exactRow []bool, general []int) {
+	exactRow = make([]bool, g.Source.Len())
+	for gi, rows := range g.Partition.Groups {
+		exact := true
+		for _, c := range g.Cells[rows[0]] {
+			exact = exact && c.Kind == CellExact
 		}
-		k := keyOf(row)
-		byKey[k] = append(byKey[k], i)
+		if !exact {
+			general = append(general, gi)
+			continue
+		}
+		for _, r := range rows {
+			exactRow[r] = true
+		}
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	groups := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		groups = append(groups, byKey[k])
-	}
-	return &Generalized{Source: t, Partition: NewPartition(groups), Cells: cells}, nil
+	return exactRow, general
 }
 
 // Stars returns the number of suppressed QI values in the published table
@@ -273,19 +281,16 @@ func FromCells(t *table.Table, cells [][]Cell) (*Generalized, error) {
 // count as zero stars; a CellSet equal to the whole domain counts as one star
 // for that position, matching the intuition that it retains no information.
 func (g *Generalized) Stars() int {
+	sch := g.Source.Schema()
 	stars := 0
-	for i, row := range g.Cells {
-		_ = i
-		for j, c := range row {
-			switch c.Kind {
-			case CellStar:
-				stars++
-			case CellSet:
-				if len(c.Set) >= g.Source.Schema().QI(j).Cardinality() {
-					stars++
-				}
+	for _, rows := range g.Partition.Groups {
+		perRow := 0
+		for j, c := range g.Cells[rows[0]] {
+			if c.Kind == CellStar || c.Kind == CellSet && len(c.Set) >= sch.QI(j).Cardinality() {
+				perRow++
 			}
 		}
+		stars += perRow * len(rows)
 	}
 	return stars
 }
@@ -294,10 +299,10 @@ func (g *Generalized) Stars() int {
 // (the objective of Problem 2).
 func (g *Generalized) SuppressedTuples() int {
 	count := 0
-	for _, row := range g.Cells {
-		for _, c := range row {
+	for _, rows := range g.Partition.Groups {
+		for _, c := range g.Cells[rows[0]] {
 			if c.Kind == CellStar {
-				count++
+				count += len(rows)
 				break
 			}
 		}

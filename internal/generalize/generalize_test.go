@@ -149,31 +149,6 @@ func TestCellHelpers(t *testing.T) {
 	}
 }
 
-func TestFromCells(t *testing.T) {
-	tbl := hospital(t)
-	cells := make([][]Cell, tbl.Len())
-	for i := range cells {
-		cells[i] = []Cell{
-			{Kind: CellStar},
-			{Kind: CellExact, Value: tbl.QIValue(i, 1)},
-			{Kind: CellExact, Value: tbl.QIValue(i, 2)},
-		}
-	}
-	g, err := FromCells(tbl, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Partition.Validate(tbl); err != nil {
-		t.Errorf("recovered partition invalid: %v", err)
-	}
-	if g.Stars() != tbl.Len() {
-		t.Errorf("stars = %d, want %d", g.Stars(), tbl.Len())
-	}
-	if _, err := FromCells(tbl, cells[:3]); err == nil {
-		t.Error("short cell matrix accepted")
-	}
-}
-
 // Property: for random partitions, Stars() of the suppressed table equals
 // StarsForPartition, and suppressed tuples never exceed stars which never
 // exceed d * suppressed tuples (the inequality used in Lemma 2).
@@ -236,7 +211,7 @@ func TestMultiDimensionalDominatesSuppressionQuick(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < tbl.Dimensions(); j++ {
-				if !multi.Cells[i][j].Covers(tbl.QIValue(i, j)) {
+				if !multi.Cells[i][j].Covers(tbl.QIAt(i, j)) {
 					return false
 				}
 				if sup.Cells[i][j].Kind == CellExact && multi.Cells[i][j].Kind != CellExact {

@@ -75,7 +75,7 @@ func TestFigure1Table(t *testing.T) {
 	}
 	for j, row := range want {
 		for i := 0; i < 6; i++ {
-			if got := tbl.QIValue(j, i); got != row[i] {
+			if got := tbl.QIAt(j, i); got != row[i] {
 				t.Errorf("row %d, A%d = %d, want %d", j+1, i+1, got, row[i])
 			}
 		}

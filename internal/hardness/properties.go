@@ -13,7 +13,7 @@ func (r *Reduction) CheckProperty1() error {
 	for i := 0; i < d; i++ {
 		zeros := 0
 		for j := 0; j < r.Table.Len(); j++ {
-			if r.Table.QIValue(j, i) == 0 {
+			if r.Table.QIAt(j, i) == 0 {
 				zeros++
 			}
 		}

@@ -157,7 +157,7 @@ func (r *Reduction) MatchingPartition(solution []int) ([][]int, error) {
 		}
 		var g []int
 		for j := 0; j < 3*n; j++ {
-			if r.Table.QIValue(j, pi) == 0 {
+			if r.Table.QIAt(j, pi) == 0 {
 				g = append(g, j)
 			}
 		}

@@ -158,19 +158,19 @@ func (a *Anonymizer) Anonymize(t *table.Table) (*Result, error) {
 		// budget was exhausted first.
 		best = append([]int(nil), heights...)
 	}
-	gen, err := a.render(t, ancestors, best)
+	gen, err := render(t, ancestors, ids, best)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Levels: best, Heights: heights, Generalized: gen, Checked: checked}, nil
 }
 
-// isDiverse checks whether the grouping induced by the level vector is
-// l-diverse. The recoding of each attribute is resolved once into a dense
+// groupsAt groups the rows by their recoded signature under the level
+// vector. The recoding of each attribute is resolved once into a dense
 // code -> node-id table for the vector's level, so the row scan reads the
 // gathered columns and two flat arrays per attribute — no per-row map or
-// accessor calls. Group histograms use one dense counter keyed by group id.
-func (a *Anonymizer) isDiverse(t *table.Table, ancestors [][][]*taxonomy.Node, ids map[*taxonomy.Node]int, levels []int) bool {
+// accessor calls.
+func groupsAt(t *table.Table, ancestors [][][]*taxonomy.Node, ids map[*taxonomy.Node]int, levels []int) [][]int {
 	d := len(levels)
 	idAt := make([][]int32, d)
 	cols := make([][]int32, d)
@@ -181,17 +181,20 @@ func (a *Anonymizer) isDiverse(t *table.Table, ancestors [][][]*taxonomy.Node, i
 			idAt[j][code] = int32(ids[chain[lev]])
 		}
 	}
-	// Rows are grouped by recoded signature, then each group's histogram is
-	// checked with the shared dense counter.
-	groups := table.GroupBySignature(t.Len(), func(i int, key []byte) []byte {
+	return table.GroupBySignature(t.Len(), func(i int, key []byte) []byte {
 		for j := 0; j < d; j++ {
 			id := idAt[j][cols[j][i]]
 			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), ',')
 		}
 		return key
 	})
+}
+
+// isDiverse checks whether the grouping induced by the level vector is
+// l-diverse. Group histograms use one dense counter keyed by group id.
+func (a *Anonymizer) isDiverse(t *table.Table, ancestors [][][]*taxonomy.Node, ids map[*taxonomy.Node]int, levels []int) bool {
 	counter := t.SAGroupCounter()
-	for _, g := range groups {
+	for _, g := range groupsAt(t, ancestors, ids, levels) {
 		if !eligibility.IsEligibleGroup(counter, g, a.L) {
 			return false
 		}
@@ -199,14 +202,12 @@ func (a *Anonymizer) isDiverse(t *table.Table, ancestors [][][]*taxonomy.Node, i
 	return true
 }
 
-// render publishes the table at the chosen levels. Cells are resolved once
-// per (attribute, code) and shared across the rows publishing that code.
-func (a *Anonymizer) render(t *table.Table, ancestors [][][]*taxonomy.Node, levels []int) (*generalize.Generalized, error) {
-	d := t.Dimensions()
-	cellAt := make([][]generalize.Cell, d)
-	cols := make([][]int32, d)
+// render publishes the table at the chosen levels: cells are resolved once
+// per (attribute, code), and the level-signature groups become the release's
+// partition.
+func render(t *table.Table, ancestors [][][]*taxonomy.Node, ids map[*taxonomy.Node]int, levels []int) (*generalize.Generalized, error) {
+	cellAt := make([][]generalize.Cell, len(levels))
 	for j, lev := range levels {
-		cols[j] = t.Col(j)
 		cellAt[j] = make([]generalize.Cell, len(ancestors[j]))
 		for code, chain := range ancestors[j] {
 			n := chain[lev]
@@ -217,15 +218,7 @@ func (a *Anonymizer) render(t *table.Table, ancestors [][][]*taxonomy.Node, leve
 			}
 		}
 	}
-	cells := make([][]generalize.Cell, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		row := make([]generalize.Cell, d)
-		for j := 0; j < d; j++ {
-			row[j] = cellAt[j][cols[j][i]]
-		}
-		cells[i] = row
-	}
-	return generalize.FromCells(t, cells)
+	return generalize.Recode(t, groupsAt(t, ancestors, ids, levels), cellAt)
 }
 
 // --- lattice helpers ---------------------------------------------------------

@@ -50,7 +50,7 @@ func TestIncognitoProducesLDiverseFullDomain(t *testing.T) {
 		for j := 0; j < tbl.Dimensions(); j++ {
 			cellOf := make(map[int]string)
 			for r := 0; r < tbl.Len(); r++ {
-				v := tbl.QIValue(r, j)
+				v := tbl.QIAt(r, j)
 				lbl := g.Cells[r][j].Label(tbl.Schema().QI(j))
 				if prev, ok := cellOf[v]; ok && prev != lbl {
 					t.Fatalf("attribute %d value %d published at two levels", j, v)

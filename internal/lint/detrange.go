@@ -11,8 +11,8 @@ import (
 // deterministicPkgs names the packages whose output bytes must be identical
 // run to run: every algorithm that produces a release, the figure-producing
 // evaluation harness, the auditor whose verdict JSON is canonical, the
-// information-loss metrics the figures plot, and the service layer that
-// streams releases to clients. Matching is on the path segment after
+// information-loss metrics the figures plot, the linking-attack audit, and
+// the service layer that streams releases to clients. Matching is on the path segment after
 // "internal/" so analysistest stubs at the same paths are covered too.
 var deterministicPkgs = map[string]bool{
 	"core":       true,
@@ -27,6 +27,9 @@ var deterministicPkgs = map[string]bool{
 	"metrics":    true,
 	"service":    true,
 	"store":      true,
+	// The linking-attack audit reports float confidences summed over QI
+	// profiles; a map walk there made MeanConfidence differ run to run.
+	"attack": true,
 	// The load harness's BENCH_*.json files are diffed between PRs; map-order
 	// or clock nondeterminism there churns the benchmark trajectory. Its
 	// deliberate wall-clock reads carry reasoned lint:ignore directives.

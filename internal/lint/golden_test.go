@@ -16,6 +16,7 @@ func TestDetrange(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Detrange,
 		"ldiv/internal/core",        // release-producing: positive + escape hatches
 		"ldiv/internal/dataset",     // release-producing since the scenario corpus: positive + seeded-source idiom
+		"ldiv/internal/attack",      // deterministic audit report: float sum over a map flagged
 		"ldiv/internal/eligibility", // outside the deterministic set: all negative
 	)
 }

@@ -48,6 +48,13 @@ func Discernibility(p *generalize.Partition) int {
 // star (or sub-domain) spreads a tuple's mass uniformly over the attribute's
 // domain (or the sub-domain). Cells always cover the original values, so
 // f*(p) > 0 wherever f(p) > 0 and the divergence is finite.
+//
+// The points of f are the SA values of each GroupByQI group, visited in that
+// deterministic order. An exact group (no star, no set) covers only its own
+// QI vector, so its mass at a point is read off the exact-row mask; each
+// general group is listed under every SA value it holds, with its f* weight
+// for that value, so a point scans only the general groups sharing its SA
+// value.
 func KLDivergence(g *generalize.Generalized) (float64, error) {
 	t := g.Source
 	n := t.Len()
@@ -55,124 +62,59 @@ func KLDivergence(g *generalize.Generalized) (float64, error) {
 		return 0, nil
 	}
 	sch := t.Schema()
+	exact, general := g.SplitExact()
 
-	// Empirical distribution f over distinct (QI..., SA) points.
-	type point struct {
-		row int // representative row
-		cnt int
+	type weighted struct {
+		cells  []generalize.Cell
+		weight float64 // count of the SA value / n * product of 1/width
 	}
-	counts := make(map[string]*point)
-	// points keeps first-occurrence order: the KL sum below accumulates
-	// floats, and float addition is not associative, so iterating the map
-	// directly would make the reported divergence vary run to run.
-	points := make([]*point, 0, n)
-	for r := 0; r < n; r++ {
-		k := t.QIKey(r) + "|" + fmt.Sprint(t.SAValue(r))
-		if p, ok := counts[k]; ok {
-			p.cnt++
-		} else {
-			p := &point{row: r, cnt: 1}
-			counts[k] = p
-			points = append(points, p)
-		}
-	}
-
-	// Split the partition's groups into "exact" groups (no star, no set:
-	// they only cover their own QI point) and "general" groups. Group SA
-	// histograms come from one reused dense counter; general groups keep
-	// theirs as small (value, count) pair lists — group histograms hold at
-	// most a handful of values, so the lookup below is a short linear scan.
-	type saPair struct {
-		v int32
-		c int32
-	}
-	type generalGroup struct {
-		cells []generalize.Cell
-		saCnt []saPair
-		mass  float64 // product of 1/width over QI attributes
-	}
+	bySA := make([][]weighted, t.SADomainSize())
 	counter := t.SAGroupCounter()
-	exactBySig := make(map[string]map[int]int) // QI key -> SA histogram (summed over exact groups)
-	var generals []generalGroup
-	for _, rows := range g.Partition.Groups {
-		if len(rows) == 0 {
-			continue
-		}
+	for _, gi := range general {
+		rows := g.Partition.Groups[gi]
 		cells := g.Cells[rows[0]]
-		allExact := true
-		for _, c := range cells {
-			if c.Kind != generalize.CellExact {
-				allExact = false
-				break
-			}
-		}
-		saCounts, saVals := counter.Count(rows)
-		if allExact {
-			sig := ""
-			for j, c := range cells {
-				if j > 0 {
-					sig += ","
-				}
-				sig += fmt.Sprint(c.Value)
-			}
-			hist := exactBySig[sig]
-			if hist == nil {
-				hist = make(map[int]int)
-				exactBySig[sig] = hist
-			}
-			for _, v := range saVals {
-				hist[int(v)] += int(saCounts[v])
-			}
-			continue
-		}
 		mass := 1.0
 		for j, c := range cells {
 			mass /= float64(c.Width(sch.QI(j).Cardinality()))
 		}
-		pairs := make([]saPair, 0, len(saVals))
-		for _, v := range saVals {
-			pairs = append(pairs, saPair{v: v, c: saCounts[v]})
+		counts, vals := counter.Count(rows)
+		for _, v := range vals {
+			bySA[v] = append(bySA[v], weighted{cells: cells, weight: float64(counts[v]) / float64(n) * mass})
 		}
-		generals = append(generals, generalGroup{cells: cells, saCnt: pairs, mass: mass})
 	}
 
+	sa := t.SAView()
+	exactCnt := make([]int32, t.SADomainSize())
+	qi := make([]int, t.Dimensions())
 	kl := 0.0
-	for _, p := range points {
-		f := float64(p.cnt) / float64(n)
-		// f*(point): contribution of exact groups with the same QI signature
-		// plus contribution of every general group covering the point.
-		fstar := 0.0
-		sig := t.QIKey(p.row)
-		sa := t.SAValue(p.row)
-		if hist, ok := exactBySig[sig]; ok {
-			fstar += float64(hist[sa]) / float64(n)
+	for _, rows := range t.GroupByQI() {
+		for _, r := range rows {
+			if exact[r] {
+				exactCnt[sa[r]]++
+			}
 		}
-		for _, gg := range generals {
-			cnt := 0
-			for _, p := range gg.saCnt {
-				if int(p.v) == sa {
-					cnt = int(p.c)
-					break
+		for j := range qi {
+			qi[j] = t.QIAt(rows[0], j)
+		}
+		counts, vals := counter.Count(rows)
+		for _, v := range vals {
+			f := float64(counts[v]) / float64(n)
+			fstar := float64(exactCnt[v]) / float64(n)
+			exactCnt[v] = 0
+		scan:
+			for _, w := range bySA[v] {
+				for j, c := range w.cells {
+					if !c.Covers(qi[j]) {
+						continue scan
+					}
 				}
+				fstar += w.weight
 			}
-			if cnt == 0 {
-				continue
+			if fstar <= 0 {
+				return 0, fmt.Errorf("metrics: induced distribution assigns zero mass to an observed point; the generalization does not cover the microdata")
 			}
-			covered := true
-			for j, c := range gg.cells {
-				if !c.Covers(t.QIValue(p.row, j)) {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				fstar += float64(cnt) / float64(n) * gg.mass
-			}
+			kl += f * math.Log(f/fstar)
 		}
-		if fstar <= 0 {
-			return 0, fmt.Errorf("metrics: induced distribution assigns zero mass to an observed point; the generalization does not cover the microdata")
-		}
-		kl += f * math.Log(f/fstar)
 	}
 	return kl, nil
 }

@@ -67,7 +67,7 @@ func TestMondrianSplitsSeparableData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < tbl.Len(); r++ {
-		if !g.Cells[r][0].Covers(tbl.QIValue(r, 0)) {
+		if !g.Cells[r][0].Covers(tbl.QIAt(r, 0)) {
 			t.Fatal("generalized cell does not cover original value")
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // salCSV renders a synthetic SAL census sample as the CSV a client would POST.
 func salCSV(t *testing.T, rows int) (string, []string, string) {
 	t.Helper()
-	tbl, err := ldiv.GenerateSAL(rows, 1)
+	tbl, err := ldiv.GenerateDataset("sal", rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,7 @@ func mustMatch(t *testing.T, got *Table, want *refTable, context string) {
 			t.Fatalf("%s: row %d QIKey = %q, want %q", context, i, got.QIKey(i), want.qiKey(i))
 		}
 	}
-	// QIRow shim and Col agree with the cells.
-	for i := 0; i < want.Len(); i++ {
-		if !reflect.DeepEqual(got.QIRow(i), want.qi[i]) && want.Len() > 0 {
-			t.Fatalf("%s: QIRow(%d) = %v, want %v", context, i, got.QIRow(i), want.qi[i])
-		}
-	}
+	// Col agrees with the cells.
 	for j := 0; j < d; j++ {
 		col := got.Col(j)
 		if len(col) != want.Len() {
@@ -221,17 +216,14 @@ func TestColumnarMatchesReference(t *testing.T) {
 			mustMatch(t, s, ref.subset(perm), "after sample")
 		}
 
-		// SAHistogramOf (compat API) and the dense counter agree with the
-		// reference histogram on random row multisets.
+		// The dense counter agrees with the reference histogram on random
+		// row multisets.
 		if tbl.Len() > 0 {
 			rows := make([]int, rng.Intn(2*tbl.Len()))
 			for i := range rows {
 				rows[i] = rng.Intn(tbl.Len())
 			}
 			want := ref.saHistogramOf(rows)
-			if got := tbl.SAHistogramOf(rows); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-				t.Fatalf("SAHistogramOf = %v, want %v", got, want)
-			}
 			counts, vals := tbl.SAGroupCounter().Count(rows)
 			if len(vals) != len(want) {
 				t.Fatalf("counter found %d distinct values, want %d", len(vals), len(want))

@@ -196,9 +196,6 @@ func (t *Table) QIAt(i, j int) int {
 	return int(t.cols[j][i])
 }
 
-// QIValue returns the code of the j-th QI attribute of row i.
-func (t *Table) QIValue(i, j int) int { return t.QIAt(i, j) }
-
 // Col returns QI column j in logical row order as a dense []int32 of length
 // Len. For a table that owns its rows it is zero-copy — the returned slice
 // aliases the column storage and must be treated as read-only — while views
@@ -226,18 +223,6 @@ func (t *Table) SAView() []int {
 	out := make([]int, len(t.rows))
 	for i, p := range t.rows {
 		out[i] = t.sa[p]
-	}
-	return out
-}
-
-// QIRow returns a copy of row i's QI codes. It is the compatibility shim for
-// the row-oriented layout; new code should use QIAt, Col or QIRows, none of
-// which materialize a per-row slice.
-func (t *Table) QIRow(i int) []int {
-	p := t.physical(i)
-	out := make([]int, len(t.cols))
-	for j, col := range t.cols {
-		out[j] = int(col[p])
 	}
 	return out
 }
@@ -323,23 +308,10 @@ func (t *Table) SAHistogram() map[int]int {
 	return h
 }
 
-// SAHistogramOf returns the frequency of each sensitive value among the rows
-// whose indices are given. It is the map-based compatibility API; callers
-// that histogram many groups of one table should use SAGroupCounter, which
-// replaces the per-group map with one reused dense count array.
-func (t *Table) SAHistogramOf(rows []int) map[int]int {
-	h := make(map[int]int)
-	for _, r := range rows {
-		h[t.SAValue(r)]++
-	}
-	return h
-}
-
 // SAGroupCounter histograms the sensitive values of row groups against one
-// reused dense count array, the allocation-lean replacement for calling
-// SAHistogramOf per group. It is tied to the table (and SA domain) it was
-// created for and is not safe for concurrent use; concurrent scans create
-// one counter each.
+// reused dense count array instead of a map per group. It is tied to the
+// table (and SA domain) it was created for and is not safe for concurrent
+// use; concurrent scans create one counter each.
 type SAGroupCounter struct {
 	t      *Table
 	counts []int32

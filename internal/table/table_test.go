@@ -397,7 +397,7 @@ func TestProjectionPropertyQuick(t *testing.T) {
 				return false
 			}
 			for jj, c := range cols {
-				if p.QIValue(i, jj) != tbl.QIValue(i, c) {
+				if p.QIAt(i, jj) != tbl.QIAt(i, c) {
 					return false
 				}
 			}

@@ -267,10 +267,9 @@ func (st *tdsState) specializeBest() bool {
 }
 
 // generalized renders the current cut as a Generalized table. Cells are
-// resolved once per (attribute, code) and shared across the rows publishing
-// that code, so the render loop is a dense lookup per cell.
+// resolved once per (attribute, code), and the cut-signature groups already
+// held in st.groups become the release's partition.
 func (st *tdsState) generalized() (*generalize.Generalized, error) {
-	t := st.t
 	cellOf := make([][]generalize.Cell, len(st.hs))
 	for j := range st.hs {
 		cellOf[j] = make([]generalize.Cell, len(st.nodeOf[j]))
@@ -285,13 +284,5 @@ func (st *tdsState) generalized() (*generalize.Generalized, error) {
 			}
 		}
 	}
-	cells := make([][]generalize.Cell, t.Len())
-	for r := 0; r < t.Len(); r++ {
-		row := make([]generalize.Cell, t.Dimensions())
-		for j := range st.hs {
-			row[j] = cellOf[j][st.cols[j][r]]
-		}
-		cells[r] = row
-	}
-	return generalize.FromCells(t, cells)
+	return generalize.Recode(st.t, st.groups, cellOf)
 }

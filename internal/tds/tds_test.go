@@ -49,7 +49,7 @@ func TestTDSProducesLDiverseSingleDimensional(t *testing.T) {
 		for j := 0; j < tbl.Dimensions(); j++ {
 			cellOf := make(map[int]string)
 			for r := 0; r < tbl.Len(); r++ {
-				v := tbl.QIValue(r, j)
+				v := tbl.QIAt(r, j)
 				lbl := g.Cells[r][j].Label(tbl.Schema().QI(j))
 				if prev, ok := cellOf[v]; ok && prev != lbl {
 					t.Fatalf("attribute %d value %d published as both %q and %q", j, v, prev, lbl)
@@ -137,7 +137,7 @@ func TestTDSWithCustomHierarchies(t *testing.T) {
 	// cells still cover original values.
 	for r := 0; r < tbl.Len(); r++ {
 		for j := 0; j < tbl.Dimensions(); j++ {
-			if !g.Cells[r][j].Covers(tbl.QIValue(r, j)) {
+			if !g.Cells[r][j].Covers(tbl.QIAt(r, j)) {
 				t.Fatal("cell does not cover original value")
 			}
 		}

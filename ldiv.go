@@ -13,7 +13,7 @@
 //
 // Quick start:
 //
-//	t, _ := ldiv.GenerateSAL(10000, 1)
+//	t, _ := ldiv.GenerateDataset("sal", 10000, 1)
 //	res, err := ldiv.TPPlus(t, 4)
 //	if err != nil { ... }
 //	gen, _ := res.Generalize(t)
@@ -109,24 +109,10 @@ func TP(t *Table, l int) (*Result, error) {
 	return core.NewAnonymizer(l).Anonymize(t)
 }
 
-// TPWorkers is TP with an explicit bound on the core's data-parallel stages
-// (the bulk multiset build and phase three's inverted-index rebuild). Values
-// below 1 mean one worker per CPU; 1 runs fully serial. The Result is
-// identical at every worker count.
-func TPWorkers(t *Table, l, workers int) (*Result, error) {
-	return (&core.Anonymizer{L: l, Workers: workers}).Anonymize(t)
-}
-
 // TPPlus runs TP and then refines the residue set with the Hilbert heuristic,
 // which can only reduce the number of stars (Section 5.6 / 6.1).
 func TPPlus(t *Table, l int) (*Result, error) {
 	return core.NewHybridAnonymizer(l, hilbert.NewSuppressor(l)).Anonymize(t)
-}
-
-// TPPlusWorkers is TPPlus with an explicit worker bound, as TPWorkers.
-func TPPlusWorkers(t *Table, l, workers int) (*Result, error) {
-	h := &core.HybridAnonymizer{L: l, Refiner: hilbert.NewSuppressor(l), Workers: workers}
-	return h.Anonymize(t)
 }
 
 // TPWithGroups runs TP starting from a caller-supplied partition into groups
@@ -207,14 +193,14 @@ func AnonymizeWith(t *Table, l int, algo string) (*Generalized, int, error) {
 func AnonymizeWithWorkers(t *Table, l int, algo string, workers int) (*Generalized, int, error) {
 	switch algo {
 	case "tp":
-		res, err := TPWorkers(t, l, workers)
+		res, err := (&core.Anonymizer{L: l, Workers: workers}).Anonymize(t)
 		if err != nil {
 			return nil, 0, err
 		}
 		g, err := res.Generalize(t)
 		return g, res.TerminationPhase, err
 	case "tp+":
-		res, err := TPPlusWorkers(t, l, workers)
+		res, err := (&core.HybridAnonymizer{L: l, Refiner: hilbert.NewSuppressor(l), Workers: workers}).Anonymize(t)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -404,19 +390,6 @@ func RandomWorkload(t *Table, queries, dims int, selectivity float64, seed int64
 // and on the microdata, summarizing the relative error.
 func EvaluateWorkload(g *Generalized, w *Workload) (*WorkloadEvaluation, error) {
 	return query.Evaluate(g, w)
-}
-
-// GenerateSAL generates a synthetic SAL-like census table (sensitive
-// attribute Income) with the attribute domains of the paper's Table 6. It is
-// the "sal" entry of the scenario corpus (see DatasetFamilies).
-func GenerateSAL(rows int, seed int64) (*Table, error) {
-	return dataset.Generate("sal", dataset.Config{Rows: rows, Seed: seed})
-}
-
-// GenerateOCC generates a synthetic OCC-like census table (sensitive
-// attribute Occupation), the "occ" corpus entry.
-func GenerateOCC(rows int, seed int64) (*Table, error) {
-	return dataset.Generate("occ", dataset.Config{Rows: rows, Seed: seed})
 }
 
 // DatasetFamilies lists the scenario-corpus dataset families in catalog

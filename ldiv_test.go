@@ -108,11 +108,11 @@ func TestPublicAPIPipelines(t *testing.T) {
 }
 
 func TestPublicAPISyntheticData(t *testing.T) {
-	sal, err := ldiv.GenerateSAL(3000, 1)
+	sal, err := ldiv.GenerateDataset("sal", 3000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	occ, err := ldiv.GenerateOCC(3000, 1)
+	occ, err := ldiv.GenerateDataset("occ", 3000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestPublicAPIPrecoarsenedGroups(t *testing.T) {
 	// Coarsen by Gender only, then run TP on those groups (Section 5.6).
 	byGender := make(map[int][]int)
 	for i := 0; i < tbl.Len(); i++ {
-		byGender[tbl.QIValue(i, 1)] = append(byGender[tbl.QIValue(i, 1)], i)
+		byGender[tbl.QIAt(i, 1)] = append(byGender[tbl.QIAt(i, 1)], i)
 	}
 	var groups [][]int
 	for _, g := range byGender {
