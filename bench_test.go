@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ldiv"
+	"ldiv/internal/attack"
 	"ldiv/internal/core"
 	"ldiv/internal/dataset"
 	"ldiv/internal/experiment"
@@ -577,21 +578,74 @@ func BenchmarkHilbertEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkKLDivergence(b *testing.B) {
-	_, sal4 := setupBench(b)
-	res, err := ldiv.TPPlus(sal4, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := res.Generalize(sal4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := metrics.KLDivergence(gen); err != nil {
-			b.Fatal(err)
+// klReleases returns, built once, the tp+, hilbert and mondrian releases at
+// l=6 of the KL figures' table: SAL-4 at the -klrows default of 15,000 rows.
+func klReleases(b *testing.B) []namedRelease {
+	b.Helper()
+	klOnce.Do(func() {
+		sal, err := dataset.Generate("sal", dataset.Config{Rows: 15000, Seed: 1})
+		if err != nil {
+			klErr = err
+			return
 		}
+		sal4, err := sal.ProjectNames([]string{"Age", "Gender", "Education", "Work Class"})
+		if err != nil {
+			klErr = err
+			return
+		}
+		for _, algo := range []string{"tp+", "hilbert", "mondrian"} {
+			gen, _, err := ldiv.AnonymizeWith(sal4, 6, algo)
+			if err != nil {
+				klErr = err
+				return
+			}
+			klGens = append(klGens, namedRelease{algo, gen})
+		}
+	})
+	if klErr != nil {
+		b.Fatalf("KL release setup: %v", klErr)
+	}
+	return klGens
+}
+
+type namedRelease struct {
+	algo string
+	gen  *ldiv.Generalized
+}
+
+var (
+	klOnce sync.Once
+	klGens []namedRelease
+	klErr  error
+)
+
+// BenchmarkKLDivergence measures Equation 2's KL-divergence on each release
+// of klReleases.
+func BenchmarkKLDivergence(b *testing.B) {
+	for _, r := range klReleases(b) {
+		b.Run(r.algo, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := metrics.KLDivergence(r.gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAudit measures the linking-attack audit on each release of
+// klReleases.
+func BenchmarkAudit(b *testing.B) {
+	for _, r := range klReleases(b) {
+		b.Run(r.algo, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := attack.Audit(r.gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ package attack
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ldiv/internal/generalize"
 	"ldiv/internal/table"
@@ -58,10 +59,11 @@ func (r *Report) BreachProbability(l int) float64 {
 // cover i's QI values.
 //
 // Individuals sharing a QI vector share a matching set, so the attack runs
-// once per GroupByQI group, in that deterministic order. An exact group (no
-// star, no set) covers only its own QI vector, so its part of the matching
-// set is the group's exact rows; only the general groups are tested for
-// coverage.
+// once per GroupByQI group, in that deterministic order. The release's
+// coverage index (generalize.Coverage) gives the matching set: the group's
+// exact rows, read off the exact-row mask, plus the general groups whose bits
+// survive the AND of the QI vector's bitset rows. A QI vector that no
+// published group covers is an error.
 func Audit(g *generalize.Generalized) (*Report, error) {
 	t := g.Source
 	n := t.Len()
@@ -69,54 +71,56 @@ func Audit(g *generalize.Generalized) (*Report, error) {
 	if n == 0 {
 		return rep, nil
 	}
-	exact, general := g.SplitExact()
+	cov := g.Coverage()
 
 	type saCount struct{ v, c int32 }
 	type group struct {
-		cells []generalize.Cell
-		size  int
-		hist  []saCount
+		size int
+		hist []saCount
 	}
-	generals := make([]group, len(general))
+	generals := make([]group, len(cov.General))
 	counter := t.SAGroupCounter()
-	for k, gi := range general {
+	for k, gi := range cov.General {
 		rows := g.Partition.Groups[gi]
 		counts, vals := counter.Count(rows)
 		hist := make([]saCount, len(vals))
 		for i, v := range vals {
 			hist[i] = saCount{v: v, c: counts[v]}
 		}
-		generals[k] = group{cells: g.Cells[rows[0]], size: len(rows), hist: hist}
+		generals[k] = group{size: len(rows), hist: hist}
 	}
 
 	sa := t.SAView()
 	matchHist := make([]int, t.SADomainSize())
 	qi := make([]int, t.Dimensions())
+	cols := make([][]int32, len(qi))
+	for j := range cols {
+		cols[j] = t.Col(j)
+	}
+	mask := make([]uint64, cov.Words())
 	var covering []int
 	total := 0.0
 	for _, rows := range t.GroupByQI() {
-		for j := range qi {
-			qi[j] = t.QIAt(rows[0], j)
+		for j, col := range cols {
+			qi[j] = int(col[rows[0]])
 		}
 		matchSize := 0
 		for _, r := range rows {
-			if exact[r] {
+			if cov.ExactRow[r] {
 				matchHist[sa[r]]++
 				matchSize++
 			}
 		}
+		cov.Covering(mask, qi)
 		covering = covering[:0]
-	scan:
-		for k, gr := range generals {
-			for j, c := range gr.cells {
-				if !c.Covers(qi[j]) {
-					continue scan
+		for w, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				k := w*64 + bits.TrailingZeros64(m)
+				covering = append(covering, k)
+				matchSize += generals[k].size
+				for _, h := range generals[k].hist {
+					matchHist[h.v] += int(h.c)
 				}
-			}
-			covering = append(covering, k)
-			matchSize += gr.size
-			for _, h := range gr.hist {
-				matchHist[h.v] += int(h.c)
 			}
 		}
 		if matchSize == 0 {

@@ -253,29 +253,6 @@ func Recode(t *table.Table, groups [][]int, cellOf [][]Cell) (*Generalized, erro
 	return newGeneralized(t, p, cells), nil
 }
 
-// SplitExact separates the groups that publish every QI value exactly from
-// the general ones. An exact group covers only its own QI vector, so a
-// consumer matching QI vectors against the release (the KL-divergence, the
-// linking attack) reads exact rows off the mask and scans only the general
-// groups, returned as indices into Partition.Groups in partition order.
-func (g *Generalized) SplitExact() (exactRow []bool, general []int) {
-	exactRow = make([]bool, g.Source.Len())
-	for gi, rows := range g.Partition.Groups {
-		exact := true
-		for _, c := range g.Cells[rows[0]] {
-			exact = exact && c.Kind == CellExact
-		}
-		if !exact {
-			general = append(general, gi)
-			continue
-		}
-		for _, r := range rows {
-			exactRow[r] = true
-		}
-	}
-	return exactRow, general
-}
-
 // Stars returns the number of suppressed QI values in the published table
 // (the objective of Problem 1). CellSet cells narrower than the full domain
 // count as zero stars; a CellSet equal to the whole domain counts as one star

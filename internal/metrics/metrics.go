@@ -1,24 +1,18 @@
 // Package metrics implements the information-loss measures of the paper's
-// evaluation: the number of stars (Problem 1), the number of suppressed
-// tuples (Problem 2), the KL-divergence between the distribution induced by a
-// generalized table and the microdata distribution (Equation 2, Section 6.2),
-// and auxiliary statistics such as the discernibility penalty and average
-// group size.
+// evaluation beyond the star counts of Problems 1 and 2 (the Stars and
+// SuppressedTuples methods of generalize.Generalized): the KL-divergence
+// between the distribution induced by a generalized table and the microdata
+// distribution (Equation 2, Section 6.2), and auxiliary statistics such as the
+// discernibility penalty and average group size.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ldiv/internal/generalize"
-	"ldiv/internal/table"
 )
-
-// Stars returns the number of stars in a generalized table.
-func Stars(g *generalize.Generalized) int { return g.Stars() }
-
-// SuppressedTuples returns the number of rows with at least one star.
-func SuppressedTuples(g *generalize.Generalized) int { return g.SuppressedTuples() }
 
 // AverageGroupSize returns the mean QI-group size of a partition.
 func AverageGroupSize(p *generalize.Partition) float64 {
@@ -46,15 +40,18 @@ func Discernibility(p *generalize.Partition) int {
 // distribution of the microdata over the (d+1)-dimensional space of QI and SA
 // values; f* is the distribution induced by the generalized table, where a
 // star (or sub-domain) spreads a tuple's mass uniformly over the attribute's
-// domain (or the sub-domain). Cells always cover the original values, so
-// f*(p) > 0 wherever f(p) > 0 and the divergence is finite.
+// domain (or the sub-domain). A release whose cells cover the original values
+// has f*(p) > 0 wherever f(p) > 0, so the divergence is finite; any other
+// release is an error.
 //
 // The points of f are the SA values of each GroupByQI group, visited in that
-// deterministic order. An exact group (no star, no set) covers only its own
-// QI vector, so its mass at a point is read off the exact-row mask; each
-// general group is listed under every SA value it holds, with its f* weight
-// for that value, so a point scans only the general groups sharing its SA
-// value.
+// deterministic order. The exact groups' mass at a point is read off the
+// release's coverage index (generalize.Coverage) as the point's exact rows.
+// The general groups covering the point's QI vector are one AND of bitset
+// rows per QI group; those that also hold the point's SA value v are that
+// mask ANDed with v's bitset, and each one's weight sits in v's weight list
+// at its rank among v's holders. The weights are added in ascending group
+// order, so f* is summed in partition order.
 func KLDivergence(g *generalize.Generalized) (float64, error) {
 	t := g.Source
 	n := t.Len()
@@ -62,53 +59,76 @@ func KLDivergence(g *generalize.Generalized) (float64, error) {
 		return 0, nil
 	}
 	sch := t.Schema()
-	exact, general := g.SplitExact()
-
-	type weighted struct {
-		cells  []generalize.Cell
-		weight float64 // count of the SA value / n * product of 1/width
-	}
-	bySA := make([][]weighted, t.SADomainSize())
+	cov := g.Coverage()
+	words := cov.Words()
+	sadom := t.SADomainSize()
 	counter := t.SAGroupCounter()
-	for _, gi := range general {
+
+	// holds[v*words+w] is word w of the bitset of the general groups holding
+	// SA value v; weight[first[v*words+w]] is the f* weight, for v, of the
+	// lowest group set in that word, and the holders of v follow in order.
+	holds := make([]uint64, sadom*words)
+	for k, gi := range cov.General {
+		_, vals := counter.Count(g.Partition.Groups[gi])
+		for _, v := range vals {
+			holds[int(v)*words+k/64] |= uint64(1) << (k % 64)
+		}
+	}
+	first := make([]int, len(holds))
+	next := make([]int, sadom)
+	total := 0
+	for i, word := range holds {
+		if i%words == 0 {
+			next[i/words] = total
+		}
+		first[i] = total
+		total += bits.OnesCount64(word)
+	}
+	weight := make([]float64, total)
+	for _, gi := range cov.General {
 		rows := g.Partition.Groups[gi]
-		cells := g.Cells[rows[0]]
 		mass := 1.0
-		for j, c := range cells {
+		for j, c := range g.Cells[rows[0]] {
 			mass /= float64(c.Width(sch.QI(j).Cardinality()))
 		}
 		counts, vals := counter.Count(rows)
 		for _, v := range vals {
-			bySA[v] = append(bySA[v], weighted{cells: cells, weight: float64(counts[v]) / float64(n) * mass})
+			weight[next[v]] = float64(counts[v]) / float64(n) * mass
+			next[v]++
 		}
 	}
 
 	sa := t.SAView()
-	exactCnt := make([]int32, t.SADomainSize())
+	exactCnt := make([]int32, sadom)
 	qi := make([]int, t.Dimensions())
+	cols := make([][]int32, len(qi))
+	for j := range cols {
+		cols[j] = t.Col(j)
+	}
+	mask := make([]uint64, words)
 	kl := 0.0
 	for _, rows := range t.GroupByQI() {
 		for _, r := range rows {
-			if exact[r] {
+			if cov.ExactRow[r] {
 				exactCnt[sa[r]]++
 			}
 		}
-		for j := range qi {
-			qi[j] = t.QIAt(rows[0], j)
+		for j, col := range cols {
+			qi[j] = int(col[rows[0]])
 		}
+		cov.Covering(mask, qi)
 		counts, vals := counter.Count(rows)
 		for _, v := range vals {
 			f := float64(counts[v]) / float64(n)
 			fstar := float64(exactCnt[v]) / float64(n)
 			exactCnt[v] = 0
-		scan:
-			for _, w := range bySA[v] {
-				for j, c := range w.cells {
-					if !c.Covers(qi[j]) {
-						continue scan
-					}
+			base := int(v) * words
+			for w, m := range mask {
+				held := holds[base+w]
+				for m &= held; m != 0; m &= m - 1 {
+					below := uint64(1)<<bits.TrailingZeros64(m) - 1
+					fstar += weight[first[base+w]+bits.OnesCount64(held&below)]
 				}
-				fstar += w.weight
 			}
 			if fstar <= 0 {
 				return 0, fmt.Errorf("metrics: induced distribution assigns zero mass to an observed point; the generalization does not cover the microdata")
@@ -117,14 +137,4 @@ func KLDivergence(g *generalize.Generalized) (float64, error) {
 		}
 	}
 	return kl, nil
-}
-
-// KLDivergenceOfPartition is a convenience wrapper: it applies suppression to
-// the partition and measures the KL-divergence of the result.
-func KLDivergenceOfPartition(t *table.Table, p *generalize.Partition) (float64, error) {
-	g, err := generalize.Suppress(t, p)
-	if err != nil {
-		return 0, err
-	}
-	return KLDivergence(g)
 }

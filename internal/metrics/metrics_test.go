@@ -114,20 +114,6 @@ func TestKLMultiDimensionalNotWorseThanSuppression(t *testing.T) {
 	}
 }
 
-func TestKLOfPartitionWrapper(t *testing.T) {
-	tbl := smallTable()
-	p := generalize.NewPartition([][]int{{0, 1}, {2, 3}})
-	kl1, err := KLDivergenceOfPartition(tbl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := generalize.Suppress(tbl, p)
-	kl2, _ := KLDivergence(g)
-	if math.Abs(kl1-kl2) > 1e-12 {
-		t.Errorf("wrapper disagrees: %g vs %g", kl1, kl2)
-	}
-}
-
 func TestAuxiliaryMetrics(t *testing.T) {
 	p := generalize.NewPartition([][]int{{0, 1}, {2, 3, 4, 5}})
 	if got := AverageGroupSize(p); got != 3 {
@@ -139,11 +125,6 @@ func TestAuxiliaryMetrics(t *testing.T) {
 	empty := generalize.NewPartition(nil)
 	if AverageGroupSize(empty) != 0 {
 		t.Error("empty partition average should be 0")
-	}
-	tbl := smallTable()
-	g, _ := generalize.Suppress(tbl, generalize.NewPartition([][]int{{0, 1}, {2, 3}}))
-	if Stars(g) != g.Stars() || SuppressedTuples(g) != g.SuppressedTuples() {
-		t.Error("metric wrappers disagree with Generalized methods")
 	}
 }
 
@@ -158,5 +139,43 @@ func TestKLEmptyTable(t *testing.T) {
 	kl, err := KLDivergence(g)
 	if err != nil || kl != 0 {
 		t.Errorf("empty table KL = %g, %v", kl, err)
+	}
+}
+
+// TestKLRejectsUncoveredRecoding checks the error branch: a recoding whose
+// cells miss a source value (a set omitting it, an exact cell naming another
+// value, or exact and set cells carrying codes outside the domain) leaves a
+// point with zero induced mass.
+func TestKLRejectsUncoveredRecoding(t *testing.T) {
+	tbl := table.New(table.MustSchema(
+		[]*table.Attribute{table.NewIntegerAttribute("A", 3), table.NewIntegerAttribute("B", 2)},
+		table.NewIntegerAttribute("S", 2)))
+	for _, r := range [][3]int{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {2, 0, 0}, {2, 1, 1}} {
+		tbl.MustAppendRow([]int{r[0], r[1]}, r[2])
+	}
+	star := generalize.Cell{Kind: generalize.CellStar}
+	exact := func(v int) generalize.Cell { return generalize.Cell{Kind: generalize.CellExact, Value: v} }
+	set := func(vs ...int) generalize.Cell { return generalize.Cell{Kind: generalize.CellSet, Set: vs} }
+	all := [][]int{{0, 1, 2, 3, 4, 5}}
+	byA := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	rows := [][]int{{0}, {1}, {2}, {3}, {4}, {5}}
+	for _, tc := range []struct {
+		name   string
+		groups [][]int
+		a, b   []generalize.Cell
+	}{
+		{"set missing a value", all, []generalize.Cell{set(0, 1), set(0, 1), set(0, 1)}, []generalize.Cell{star, star}},
+		{"exact naming another value", rows, []generalize.Cell{exact(0), exact(1), exact(1)}, []generalize.Cell{exact(0), exact(1)}},
+		{"exact out of domain", byA, []generalize.Cell{exact(0), exact(1), exact(7)}, []generalize.Cell{star, star}},
+		{"all-exact out of domain", rows, []generalize.Cell{exact(0), exact(-1), exact(2)}, []generalize.Cell{exact(0), exact(1)}},
+		{"set out of domain", all, []generalize.Cell{set(0, 1, 9), set(0, 1, 9), set(0, 1, 9)}, []generalize.Cell{star, star}},
+	} {
+		g, err := generalize.Recode(tbl, tc.groups, [][]generalize.Cell{tc.a, tc.b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := KLDivergence(g); err == nil {
+			t.Errorf("%s: KLDivergence accepted a release that does not cover the microdata", tc.name)
+		}
 	}
 }
