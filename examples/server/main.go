@@ -65,11 +65,11 @@ func main() {
 	// 3. Poll until the job finishes. Toy tables finish in microseconds, but
 	//    the loop is what a client of a 600k-row job would run.
 	id := job["id"].(string)
-	for job["status"] == string(service.StatusQueued) || job["status"] == string(service.StatusRunning) {
+	for job["status"] == "queued" || job["status"] == "running" {
 		time.Sleep(10 * time.Millisecond)
 		job = getJSON(base + "/v1/jobs/" + id)
 	}
-	if job["status"] != string(service.StatusDone) {
+	if job["status"] != "done" {
 		log.Fatalf("job failed: %v", job["error"])
 	}
 	metrics := job["metrics"].(map[string]any)

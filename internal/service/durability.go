@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"time"
 
 	"ldiv"
@@ -60,17 +61,38 @@ func (s *Server) nowUnixMilli() int64 {
 	return s.clock().UnixMilli()
 }
 
-// journal appends records to the store when one is configured. Failures on
-// this path are counted, not surfaced: the records it carries (run, retry,
-// terminal transitions) only make recovery less precise, they never lose an
-// acknowledged job. The acknowledge path in handleSubmit appends directly
-// and does surface the error, because there the fsync is the 202.
-func (s *Server) journal(recs ...store.Record) {
-	if s.st == nil {
-		return
+// transition moves a job through its lifecycle: it stamps rec with the
+// job's ID and the clock, journals it when the job's accept is durable, and
+// applies it with store.JobState.Apply, the function replay folds the
+// journal with. A terminal phase retires the job into the retention list
+// and its phase's counter; a shed job is dropped. Journal failures here are
+// counted, not surfaced: these records only make recovery less precise,
+// they never lose an acknowledged job. The accept record is the exception,
+// which is why accept appends it itself.
+func (s *Server) transition(job *Job, rec store.Record) {
+	rec.ID, rec.Unix = job.ID, s.nowUnixMilli()
+	if job.durable {
+		if err := s.st.Append(rec); err != nil {
+			s.metrics.storeErrors.Add(1)
+		}
 	}
-	if err := s.st.Append(recs...); err != nil {
-		s.metrics.storeErrors.Add(1)
+	job.mu.Lock()
+	_ = job.state.Apply(rec) // the server only makes legal transitions
+	phase := job.state.Phase
+	job.mu.Unlock()
+	switch phase {
+	case store.PhaseDone:
+		s.finishJob(job.ID)
+		s.metrics.jobsDone.Add(1)
+	case store.PhaseFailed:
+		s.finishJob(job.ID)
+		s.metrics.jobsFailed.Add(1)
+	case store.PhaseQuarantined:
+		s.finishJob(job.ID)
+		s.metrics.jobsQuarantined.Add(1)
+	case store.PhaseShed:
+		s.dropJob(job.ID)
+		s.metrics.jobsRejected.Add(1)
 	}
 }
 
@@ -116,8 +138,15 @@ func (s *Server) loadResult(key string) (*Result, error) {
 		KL:               m.KL,
 		HasKL:            m.HasKL,
 		TerminationPhase: m.TerminationPhase,
-		Runtime:          time.Duration(m.RuntimeMS * float64(time.Millisecond)),
+		Runtime:          runtimeFromMS(m.RuntimeMS),
 	}, nil
+}
+
+// runtimeFromMS inverts the store's millisecond encoding of a runtime. It
+// rounds rather than truncates: the float product can land a hair below the
+// original nanosecond count.
+func runtimeFromMS(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }
 
 // runWithDeadline executes one attempt, bounded by the configured per-job
@@ -156,8 +185,9 @@ func (s *Server) runJobOnce(job *Job, t *ldiv.Table, key string) {
 	s.metrics.jobsQueued.Add(-1)
 	s.metrics.jobsRunning.Add(1)
 	defer s.metrics.jobsRunning.Add(-1)
-	attempt := job.startAttempt()
-	s.journal(store.Record{Op: store.OpRun, ID: job.ID, Attempt: attempt, Unix: s.nowUnixMilli()})
+	st, _ := job.snapshot()
+	attempt := st.Attempts + 1
+	s.transition(job, store.Record{Op: store.OpRun, Attempt: attempt})
 
 	res, err := s.runWithDeadline(t, job.Params)
 	if err == nil {
@@ -172,11 +202,11 @@ func (s *Server) runJobOnce(job *Job, t *ldiv.Table, key string) {
 		s.failAttempt(job, t, key, attempt, err)
 		return
 	}
-	s.journal(store.Record{Op: store.OpDone, ID: job.ID, Key: key, Unix: s.nowUnixMilli()})
-	job.setDone(res)
-	s.finishJob(job.ID)
+	job.mu.Lock()
+	job.result = res
+	job.mu.Unlock()
+	s.transition(job, store.Record{Op: store.OpDone, Key: key})
 	s.cache.put(key, res)
-	s.metrics.jobsDone.Add(1)
 	s.metrics.rowsAnonymized.Add(int64(res.Rows))
 	s.metrics.observeLatency(job.Params.Algorithm, res.Runtime.Seconds())
 	s.metrics.observeRuntime(res.Runtime.Seconds())
@@ -186,25 +216,17 @@ func (s *Server) runJobOnce(job *Job, t *ldiv.Table, key string) {
 // (transient, attempts left), quarantine (transient, attempts exhausted —
 // the job is poison), or a plain failure (deterministic error).
 func (s *Server) failAttempt(job *Job, t *ldiv.Table, key string, attempt int, err error) {
-	if !isTransient(err) {
-		job.setFailed(err.Error())
-		s.journal(store.Record{Op: store.OpFailed, ID: job.ID, Error: err.Error(), Unix: s.nowUnixMilli()})
-		s.finishJob(job.ID)
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	if attempt >= s.cfg.MaxAttempts {
+	switch {
+	case !isTransient(err):
+		s.transition(job, store.Record{Op: store.OpFailed, Error: err.Error()})
+	case attempt >= s.cfg.MaxAttempts:
 		msg := fmt.Sprintf("quarantined after %d failed attempts; last error: %v", attempt, err)
-		job.setQuarantined(msg)
-		s.journal(store.Record{Op: store.OpQuarantine, ID: job.ID, Attempt: attempt, Error: msg, Unix: s.nowUnixMilli()})
-		s.finishJob(job.ID)
-		s.metrics.jobsQuarantined.Add(1)
-		return
+		s.transition(job, store.Record{Op: store.OpQuarantine, Attempt: attempt, Error: msg})
+	default:
+		s.transition(job, store.Record{Op: store.OpRetry, Attempt: attempt, Error: err.Error()})
+		s.metrics.jobRetries.Add(1)
+		s.scheduleRetry(job, t, key, attempt)
 	}
-	job.setRetrying(err.Error())
-	s.journal(store.Record{Op: store.OpRetry, ID: job.ID, Attempt: attempt, Error: err.Error(), Unix: s.nowUnixMilli()})
-	s.metrics.jobRetries.Add(1)
-	s.scheduleRetry(job, t, key, attempt)
 }
 
 // backoffDelay is the wait before retry number attempt+1: the base delay
@@ -252,11 +274,12 @@ func (s *Server) scheduleRetry(job *Job, t *ldiv.Table, key string, attempt int)
 	}()
 }
 
-// recoverJobs replays the store's journal fold into live jobs: terminal jobs
-// become queryable again, non-terminal jobs are re-enqueued (or quarantined
-// as poison when they already burned through their attempts — a job that
-// was mid-run at every crash is what crashed us), and corrupt store entries
-// become quarantined jobs instead of startup failures.
+// recoverJobs turns the store's journal fold into live jobs, each starting
+// from its replayed state: terminal jobs become queryable again, non-terminal
+// jobs are re-enqueued (or quarantined as poison when they already burned
+// through their attempts — a job that was mid-run at every crash is what
+// crashed us), and corrupt store entries become quarantined jobs instead of
+// startup failures.
 func (s *Server) recoverJobs(rep *store.Replay) {
 	if len(rep.Quarantined) > 0 {
 		s.metrics.storeErrors.Add(int64(len(rep.Quarantined)))
@@ -275,92 +298,67 @@ func (s *Server) recoverJobs(rep *store.Replay) {
 	}
 
 	for _, js := range rep.Jobs {
-		var params Params
+		job := &Job{ID: js.ID, Tenant: js.Tenant, durable: true, state: *js}
 		if len(js.Params) > 0 {
-			if err := json.Unmarshal(js.Params, &params); err != nil {
-				s.quarantineRecovered(js, fmt.Sprintf("stored parameters do not parse: %v", err))
+			// A job quarantined in the journal needs no parameters to show.
+			if err := json.Unmarshal(js.Params, &job.Params); err != nil && js.Phase != store.PhaseQuarantined {
+				s.quarantineRecovered(job, fmt.Sprintf("stored parameters do not parse: %v", err))
 				continue
 			}
 		}
-		job := &Job{
-			ID:        js.ID,
-			Params:    params,
-			Tenant:    js.Tenant,
-			submitted: time.UnixMilli(js.Unix).UTC(),
-		}
-		job.setAttempts(js.Attempts)
-
 		switch js.Phase {
+		case store.PhaseQueued, store.PhaseRunning:
+			// The crash interrupted it.
+			s.requeueRecovered(job)
+			continue
 		case store.PhaseDone:
 			res, err := s.loadResult(js.Key)
 			if err != nil {
 				s.metrics.storeErrors.Add(1)
-				s.quarantineRecovered(js, fmt.Sprintf("the stored result is unreadable: %v", err))
+				s.quarantineRecovered(job, fmt.Sprintf("the stored result is unreadable: %v", err))
 				continue
 			}
-			job.status = StatusDone
 			job.result = res
-			s.register(job)
-			s.finishJob(job.ID)
 			s.cache.put(js.Key, res)
-			s.metrics.jobsRecovered.Add(1)
-		case store.PhaseFailed:
-			job.status = StatusFailed
-			job.err = js.Error
-			s.register(job)
-			s.finishJob(job.ID)
-			s.metrics.jobsRecovered.Add(1)
-		case store.PhaseQuarantined:
-			job.status = StatusQuarantined
-			job.err = js.Error
-			s.register(job)
-			s.finishJob(job.ID)
-			s.metrics.jobsRecovered.Add(1)
-		default: // accepted or running: the crash interrupted it
-			s.requeueRecovered(js, job)
 		}
+		s.register(job)
+		s.finishJob(job.ID)
+		s.metrics.jobsRecovered.Add(1)
 	}
 }
 
 // requeueRecovered puts an interrupted job back on the queue, unless its
 // result already made it to disk (the crash hit between the result fsync
 // and the journal append) or it has exhausted its attempts.
-func (s *Server) requeueRecovered(js *store.JobState, job *Job) {
+func (s *Server) requeueRecovered(job *Job) {
+	js := job.state
 	if s.st.HasResult(js.Key) {
 		if res, err := s.loadResult(js.Key); err == nil {
-			job.status = StatusDone
 			job.result = res
 			s.register(job)
-			s.finishJob(job.ID)
 			s.cache.put(js.Key, res)
-			s.journal(store.Record{Op: store.OpDone, ID: job.ID, Key: js.Key, Unix: s.nowUnixMilli()})
+			s.transition(job, store.Record{Op: store.OpDone, Key: js.Key})
 			s.metrics.jobsRecovered.Add(1)
 			return
 		}
 		s.metrics.storeErrors.Add(1)
 	}
 	if js.Attempts >= s.cfg.MaxAttempts {
-		s.quarantineRecovered(js, fmt.Sprintf("interrupted mid-run on all %d attempts; the job is poison", js.Attempts))
+		s.quarantineRecovered(job, fmt.Sprintf("interrupted mid-run on all %d attempts; the job is poison", js.Attempts))
 		return
 	}
 	body, err := s.st.GetBody(js.Body)
 	if err != nil {
 		s.metrics.storeErrors.Add(1)
-		s.quarantineRecovered(js, fmt.Sprintf("the stored body is unreadable: %v", err))
+		s.quarantineRecovered(job, fmt.Sprintf("the stored body is unreadable: %v", err))
 		return
 	}
+	s.register(job)
 	t, perr := prepare(body, job.Params)
 	if perr != nil {
-		job.status = StatusFailed
-		job.err = perr.Message
-		s.register(job)
-		s.finishJob(job.ID)
-		s.journal(store.Record{Op: store.OpFailed, ID: job.ID, Error: perr.Message, Unix: s.nowUnixMilli()})
-		s.metrics.jobsFailed.Add(1)
+		s.transition(job, store.Record{Op: store.OpFailed, Error: perr.Message})
 		return
 	}
-	job.status = StatusQueued
-	s.register(job)
 	s.metrics.jobsRecovered.Add(1)
 	s.metrics.jobsQueued.Add(1)
 	key := js.Key
@@ -373,24 +371,10 @@ func (s *Server) requeueRecovered(js *store.JobState, job *Job) {
 	}()
 }
 
-// quarantineRecovered registers a recovered job in the quarantined terminal
-// state and journals the verdict so the next start does not redo the work.
-func (s *Server) quarantineRecovered(js *store.JobState, reason string) {
-	job := &Job{
-		ID:        js.ID,
-		Tenant:    js.Tenant,
-		submitted: time.UnixMilli(js.Unix).UTC(),
-		status:    StatusQuarantined,
-		err:       reason,
-	}
-	if len(js.Params) > 0 {
-		_ = json.Unmarshal(js.Params, &job.Params)
-	}
-	job.setAttempts(js.Attempts)
+// quarantineRecovered registers a recovered job and journals the
+// quarantine verdict, so the next start does not redo the work.
+func (s *Server) quarantineRecovered(job *Job, reason string) {
+	rec := store.Record{Op: store.OpQuarantine, Attempt: job.state.Attempts, Error: reason}
 	s.register(job)
-	s.finishJob(job.ID)
-	if js.Phase != store.PhaseQuarantined {
-		s.journal(store.Record{Op: store.OpQuarantine, ID: js.ID, Attempt: js.Attempts, Error: reason, Unix: s.nowUnixMilli()})
-	}
-	s.metrics.jobsQuarantined.Add(1)
+	s.transition(job, rec)
 }

@@ -79,14 +79,14 @@ func TestTransientFailuresRetryUntilSuccess(t *testing.T) {
 		if n < 3 {
 			return nil, markTransient(fmt.Errorf("synthetic transient failure %d", n))
 		}
-		return runPrepared(tab, p)
+		return runPreparedWorkers(tab, p, 0)
 	}
 	code, view, _ := submit(t, ts, sampleQuery, sampleCSV)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("job ended %s (%s), want done after retries", done.Status, done.Error)
 	}
 	if done.Attempts != 3 {
@@ -104,7 +104,7 @@ func TestPoisonJobQuarantinedAfterMaxAttempts(t *testing.T) {
 	}
 	_, view, _ := submit(t, ts, sampleQuery, sampleCSV)
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusQuarantined {
+	if done.Status != store.PhaseQuarantined {
 		t.Fatalf("job ended %s, want quarantined", done.Status)
 	}
 	if !strings.Contains(done.Error, "2 failed attempts") {
@@ -128,7 +128,7 @@ func TestJobTimeoutFailsTheAttempt(t *testing.T) {
 	}
 	_, view, _ := submit(t, ts, sampleQuery, sampleCSV)
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusFailed || !strings.Contains(done.Error, "deadline") {
+	if done.Status != store.PhaseFailed || !strings.Contains(done.Error, "deadline") {
 		t.Fatalf("job ended %s (%q), want failed with a deadline error", done.Status, done.Error)
 	}
 }
@@ -177,7 +177,7 @@ func TestRetryAfterIsComputedFromBacklog(t *testing.T) {
 	release := make(chan struct{})
 	s.run = func(tab *ldiv.Table, p Params) (*Result, error) {
 		<-release
-		return runPrepared(tab, p)
+		return runPreparedWorkers(tab, p, 0)
 	}
 	_, first, _ := submit(t, ts, sampleQuery, sampleCSV)
 	// Wait until the worker has picked the job up, so the backlog state is
@@ -186,7 +186,7 @@ func TestRetryAfterIsComputedFromBacklog(t *testing.T) {
 	for {
 		var view jobView
 		getJSON(t, ts, "/v1/jobs/"+first.ID, &view)
-		if view.Status == StatusRunning {
+		if view.Status == store.PhaseRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -247,7 +247,7 @@ func TestDurableResultsSurviveRestart(t *testing.T) {
 		t.Fatalf("submit = %d, want 202", code)
 	}
 	done := awaitDone(t, ts1, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("job ended %s, want done", done.Status)
 	}
 	_, want := fetchResult(t, ts1, view.ID, "")
@@ -267,7 +267,7 @@ func TestDurableResultsSurviveRestart(t *testing.T) {
 	if code := getJSON(t, ts2, "/v1/jobs/"+view.ID, &recovered); code != http.StatusOK {
 		t.Fatalf("recovered status = %d, want 200", code)
 	}
-	if recovered.Status != StatusDone {
+	if recovered.Status != store.PhaseDone {
 		t.Fatalf("recovered job is %s, want done", recovered.Status)
 	}
 	if code, got := fetchResult(t, ts2, view.ID, ""); code != http.StatusOK || got != want {
@@ -335,7 +335,7 @@ func TestRecoveryReenqueuesInterruptedJobs(t *testing.T) {
 	defer s.Close()
 
 	done := awaitDone(t, ts, id)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("recovered job ended %s (%s), want done", done.Status, done.Error)
 	}
 	// The recovered run is byte-identical to a direct library run.
@@ -343,7 +343,7 @@ func TestRecoveryReenqueuesInterruptedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPrepared(tab, sampleParams())
+	res, err := runPreparedWorkers(tab, sampleParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestRecoveryQuarantinesPoisonJobs(t *testing.T) {
 	if code := getJSON(t, ts, "/v1/jobs/"+id, &view); code != http.StatusOK {
 		t.Fatalf("poison job status = %d, want 200", code)
 	}
-	if view.Status != StatusQuarantined {
+	if view.Status != store.PhaseQuarantined {
 		t.Fatalf("poison job is %s, want quarantined", view.Status)
 	}
 	if m := metricsText(t, ts); !strings.Contains(m, "ldivd_jobs_quarantined_total 1") {
@@ -404,7 +404,7 @@ func TestRecoveryQuarantinesJobWithUnreadableResult(t *testing.T) {
 	if code := getJSON(t, ts, "/v1/jobs/"+id, &view); code != http.StatusOK {
 		t.Fatalf("status = %d, want 200", code)
 	}
-	if view.Status != StatusQuarantined {
+	if view.Status != store.PhaseQuarantined {
 		t.Fatalf("job with missing result is %s, want quarantined", view.Status)
 	}
 	m := metricsText(t, ts)
@@ -444,7 +444,7 @@ func TestCorruptJournalQuarantinesButServes(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit on repaired store = %d, want 202", code)
 	}
-	if done := awaitDone(t, ts, view.ID); done.Status != StatusDone {
+	if done := awaitDone(t, ts, view.ID); done.Status != store.PhaseDone {
 		t.Fatalf("job on repaired store ended %s, want done", done.Status)
 	}
 }
@@ -471,7 +471,7 @@ func TestStoreAppendFailureReturns500(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit after fault cleared = %d, want 202", code)
 	}
-	if done := awaitDone(t, ts, view.ID); done.Status != StatusDone {
+	if done := awaitDone(t, ts, view.ID); done.Status != store.PhaseDone {
 		t.Fatalf("job ended %s, want done", done.Status)
 	}
 	m := metricsText(t, ts)

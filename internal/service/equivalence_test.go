@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ldiv"
+	"ldiv/internal/store"
 )
 
 // salCSV renders a synthetic SAL census sample as the CSV a client would POST.
@@ -84,7 +85,7 @@ func TestServerMatchesLibraryByteForByte(t *testing.T) {
 				t.Fatalf("submit returned %d: %+v", code, apiErr)
 			}
 			done := awaitDone(t, ts, view.ID)
-			if done.Status != StatusDone {
+			if done.Status != store.PhaseDone {
 				t.Fatalf("job ended %s: %s", done.Status, done.Error)
 			}
 			code, served := fetchResult(t, ts, view.ID, "")
@@ -128,7 +129,7 @@ func TestProjectionMatchesLibrary(t *testing.T) {
 		t.Fatalf("submit returned %d: %+v", code, apiErr)
 	}
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("job ended %s: %s", done.Status, done.Error)
 	}
 	_, served := fetchResult(t, ts, view.ID, "")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ldiv"
+	"ldiv/internal/store"
 )
 
 // Params are the anonymization parameters of a job, taken from the submit
@@ -41,26 +42,6 @@ func (p Params) cacheKey(body []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Status is the lifecycle state of a job.
-type Status string
-
-// The job states. A job moves queued -> running -> done|failed, looping
-// back to queued while transient failures are retried; cache hits are born
-// done. Quarantined is the poison-job terminal state: retries exhausted, the
-// job kept killing the process, or its stored bytes failed a digest check.
-const (
-	StatusQueued      Status = "queued"
-	StatusRunning     Status = "running"
-	StatusDone        Status = "done"
-	StatusFailed      Status = "failed"
-	StatusQuarantined Status = "quarantined"
-)
-
-// terminal reports whether a status is final.
-func (s Status) terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusQuarantined
-}
-
 // Result is the outcome of a finished job: the released table(s) as CSV plus
 // the information-loss metrics the evaluation tracks.
 type Result struct {
@@ -90,100 +71,37 @@ type Result struct {
 	Runtime time.Duration
 }
 
-// Job is one submitted anonymization task. Mutable fields are guarded by mu;
-// read them through snapshot.
+// Job is one submitted anonymization task. Its lifecycle state is the same
+// store.JobState the journal replay folds, changed only through
+// Server.transition; mutable fields are guarded by mu, read them through
+// snapshot.
 type Job struct {
 	ID     string
 	Params Params
 	// Tenant is the X-Tenant header value of the submission ("" when the
 	// client sent none).
 	Tenant string
+	// durable reports that the job's accept record reached the journal, so
+	// its later transitions are journaled too.
+	durable bool
 
-	mu        sync.Mutex
-	status    Status
-	err       string
-	cached    bool
-	submitted time.Time
-	result    *Result
-	// attempts counts execution attempts started (1 on the first run).
-	attempts int
+	mu     sync.Mutex
+	state  store.JobState
+	result *Result
 }
 
 // snapshot returns a consistent copy of the job's mutable state.
-func (j *Job) snapshot() (status Status, errMsg string, cached bool, res *Result) {
+func (j *Job) snapshot() (store.JobState, *Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, j.err, j.cached, j.result
-}
-
-// attemptCount returns the number of execution attempts started so far.
-func (j *Job) attemptCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// setRunning marks the job running.
-func (j *Job) setRunning() {
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-}
-
-// startAttempt marks the job running and returns the new attempt number.
-func (j *Job) startAttempt() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.status = StatusRunning
-	j.attempts++
-	return j.attempts
-}
-
-// setAttempts seeds the attempt counter from the journal during recovery.
-func (j *Job) setAttempts(n int) {
-	j.mu.Lock()
-	j.attempts = n
-	j.mu.Unlock()
-}
-
-// setRetrying parks the job back in the queued state between a transient
-// failure and its retry, keeping the last error visible to status polls.
-func (j *Job) setRetrying(errMsg string) {
-	j.mu.Lock()
-	j.status = StatusQueued
-	j.err = errMsg
-	j.mu.Unlock()
-}
-
-// setQuarantined marks the job as poison with an explanation.
-func (j *Job) setQuarantined(msg string) {
-	j.mu.Lock()
-	j.status = StatusQuarantined
-	j.err = msg
-	j.mu.Unlock()
-}
-
-// setDone marks the job done with its result.
-func (j *Job) setDone(res *Result) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.result = res
-	j.mu.Unlock()
-}
-
-// setFailed marks the job failed with an error message.
-func (j *Job) setFailed(msg string) {
-	j.mu.Lock()
-	j.status = StatusFailed
-	j.err = msg
-	j.mu.Unlock()
+	return j.state, j.result
 }
 
 // jobView is the JSON representation of a job returned by the status
 // endpoint (and echoed by submit).
 type jobView struct {
 	ID          string       `json:"id"`
-	Status      Status       `json:"status"`
+	Status      store.Phase  `json:"status"`
 	Params      Params       `json:"params"`
 	Tenant      string       `json:"tenant,omitempty"`
 	Cached      bool         `json:"cached"`
@@ -205,21 +123,22 @@ type metricsView struct {
 	RuntimeMS        float64  `json:"runtime_ms"`
 }
 
-// view renders the job for JSON encoding.
+// view renders the job for JSON encoding. Everything in it derives from the
+// job's folded state and its result, so it reads the same after a restart.
 func (j *Job) view() jobView {
-	attempts := j.attemptCount()
-	status, errMsg, cached, res := j.snapshot()
+	st, res := j.snapshot()
 	v := jobView{
-		ID:          j.ID,
-		Status:      status,
-		Params:      j.Params,
-		Tenant:      j.Tenant,
-		Cached:      cached,
-		Attempts:    attempts,
-		SubmittedAt: j.submitted,
-		Error:       errMsg,
+		ID:     j.ID,
+		Status: st.Phase,
+		Params: j.Params,
+		Tenant: j.Tenant,
+		// A done job that never ran was answered from a stored result.
+		Cached:      st.Phase == store.PhaseDone && st.Attempts == 0,
+		Attempts:    st.Attempts,
+		SubmittedAt: time.UnixMilli(st.Unix).UTC(),
+		Error:       st.Error,
 	}
-	if res != nil {
+	if st.Phase == store.PhaseDone {
 		m := &metricsView{
 			Rows:             res.Rows,
 			Groups:           res.Groups,

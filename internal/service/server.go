@@ -214,11 +214,7 @@ func Open(cfg Config) (*Server, error) {
 		},
 	}
 	if cfg.StoreDir != "" {
-		fsys := cfg.FS
-		if fsys == nil {
-			fsys = store.OSFS{}
-		}
-		st, replay, err := store.Open(cfg.StoreDir, fsys)
+		st, replay, err := store.Open(cfg.StoreDir, cfg.FS)
 		if err != nil {
 			baseCancel()
 			s.queue.Close()
@@ -373,16 +369,9 @@ func prepare(body []byte, p Params) (*ldiv.Table, *apiError) {
 	return t, nil
 }
 
-// runPrepared executes the requested algorithm on an already-validated table
-// with the default worker bound. Tests use it as the pass-through body of a
-// replaced Server.run.
-func runPrepared(t *ldiv.Table, p Params) (*Result, error) {
-	return runPreparedWorkers(t, p, 0)
-}
-
-// runPreparedWorkers is runPrepared with an explicit bound on the TP core's
-// data-parallel stages (Config.AlgoWorkers); it is the production body of
-// Server.run.
+// runPreparedWorkers executes the requested algorithm on an already-validated
+// table, bounding the TP core's data-parallel stages by workers
+// (Config.AlgoWorkers); it is the production body of Server.run.
 func runPreparedWorkers(t *ldiv.Table, p Params, workers int) (*Result, error) {
 	//lint:ignore detrange job latency is an operational metric, not release content
 	start := time.Now()
@@ -495,27 +484,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := s.newJob(params)
-	job.Tenant = tenant
-	s.register(job)
-	if s.st != nil {
-		// Acknowledge-before-202: body first (content-addressed, idempotent),
-		// then the fsync'd accept record. A failure here must not acknowledge
-		// anything — the client gets a 500 and owns the retry.
-		if err := s.acceptDurably(job, key, body); err != nil {
-			s.metrics.storeErrors.Add(1)
-			s.dropJob(job.ID)
-			writeError(w, http.StatusInternalServerError, "store_error",
-				fmt.Sprintf("the job could not be made durable: %v", err))
-			return
-		}
+	job := s.newJob(params, tenant)
+	// Acknowledge-before-202: with a store, the body and the fsync'd accept
+	// record are on disk before the job is published. A failure here must
+	// not acknowledge anything — the client gets a 500 and owns the retry.
+	if err := s.accept(job, key, body); err != nil {
+		s.metrics.storeErrors.Add(1)
+		writeError(w, http.StatusInternalServerError, "store_error",
+			fmt.Sprintf("the job could not be made durable: %v", err))
+		return
 	}
+	s.register(job)
 	s.metrics.jobsQueued.Add(1)
 	if !s.queue.TrySubmit(func() { s.runJobOnce(job, t, key) }) {
 		s.metrics.jobsQueued.Add(-1)
-		s.metrics.jobsRejected.Add(1)
-		s.dropJob(job.ID)
-		s.journal(store.Record{Op: store.OpShed, ID: job.ID, Unix: s.nowUnixMilli()})
+		s.transition(job, store.Record{Op: store.OpShed})
 		if s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, "shutting_down", "the server is draining and accepts no new jobs")
 			return
@@ -529,56 +512,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.view())
 }
 
-// answerMemoized responds 200 with a born-done job wrapping an already
-// computed result. All fields are set before register publishes the job, so
-// no concurrent reader can observe it half-initialized. With a store, the
-// job is journaled terminal-from-birth so its status survives a restart.
+// answerMemoized responds 200 with a job that goes from accept straight to
+// done on an already computed result. With a store, both records are
+// journaled so the job's status survives a restart.
 func (s *Server) answerMemoized(w http.ResponseWriter, params Params, tenant string, body []byte, key string, res *Result) {
-	job := s.newJob(params)
-	job.Tenant = tenant
-	job.cached = true
-	job.status = StatusDone
+	job := s.newJob(params, tenant)
 	job.result = res
-	s.register(job)
-	s.finishJob(job.ID)
-	if s.st != nil {
-		if err := s.acceptDurably(job, key, body); err != nil {
+	if err := s.accept(job, key, body); err != nil {
+		s.metrics.storeErrors.Add(1)
+	} else if s.st != nil && !s.st.HasResult(key) {
+		if err := s.persistResult(key, res); err != nil {
 			s.metrics.storeErrors.Add(1)
-		} else {
-			if !s.st.HasResult(key) {
-				if err := s.persistResult(key, res); err != nil {
-					s.metrics.storeErrors.Add(1)
-				}
-			}
-			s.journal(store.Record{Op: store.OpDone, ID: job.ID, Key: key, Unix: s.nowUnixMilli()})
 		}
 	}
+	s.register(job)
+	s.transition(job, store.Record{Op: store.OpDone, Key: key})
 	s.metrics.jobsSubmitted.Add(1)
-	s.metrics.jobsDone.Add(1)
 	s.metrics.cacheHits.Add(1)
 	writeJSON(w, http.StatusOK, job.view())
 }
 
-// acceptDurably persists a submission's body and appends the fsync'd accept
-// record that makes the job crash-safe.
-func (s *Server) acceptDurably(job *Job, key string, body []byte) error {
-	digest, err := s.st.PutBody(body)
-	if err != nil {
-		return err
+// accept admits a new job by applying its accept record. With a store it
+// first persists the body and appends the fsync'd record, and an error means
+// the job is not durable; the record is applied either way.
+func (s *Server) accept(job *Job, key string, body []byte) error {
+	rec := store.Record{Op: store.OpAccept, ID: job.ID, Key: key, Tenant: job.Tenant, Unix: s.nowUnixMilli()}
+	var err error
+	if s.st != nil {
+		if rec.Body, err = s.st.PutBody(body); err == nil {
+			rec.Params, _ = json.Marshal(job.Params) // plain strings and ints always encode
+			err = s.st.Append(rec)
+		}
+		job.durable = err == nil
 	}
-	paramsJSON, err := json.Marshal(job.Params)
-	if err != nil {
-		return err
-	}
-	return s.st.Append(store.Record{
-		Op:     store.OpAccept,
-		ID:     job.ID,
-		Key:    key,
-		Body:   digest,
-		Params: paramsJSON,
-		Tenant: job.Tenant,
-		Unix:   s.nowUnixMilli(),
-	})
+	_ = job.state.Apply(rec) // a fresh job accepts
+	return err
 }
 
 // runSafely executes a job, converting panics into errors so one bad input
@@ -592,17 +560,11 @@ func (s *Server) runSafely(t *ldiv.Table, p Params) (res *Result, err error) {
 	return s.run(t, p)
 }
 
-// newJob allocates a queued job. It is not yet visible to lookups — the
-// caller finishes initializing it and then calls register, so concurrent
-// status requests never see a partially-built job.
-func (s *Server) newJob(params Params) *Job {
-	return &Job{
-		ID:     fmt.Sprintf("j%06d", s.nextID.Add(1)),
-		Params: params,
-		status: StatusQueued,
-		//lint:ignore detrange submission timestamps are operational job metadata, not release content
-		submitted: time.Now().UTC(),
-	}
+// newJob allocates a job with no lifecycle state yet. It is not visible to
+// lookups until the caller has applied its accept record and calls
+// register, so concurrent status requests never see a partially-built job.
+func (s *Server) newJob(params Params, tenant string) *Job {
+	return &Job{ID: fmt.Sprintf("j%06d", s.nextID.Add(1)), Params: params, Tenant: tenant}
 }
 
 // register publishes a job to the status/result endpoints.
@@ -661,19 +623,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
-	status, errMsg, _, res := job.snapshot()
-	switch status {
-	case StatusFailed:
-		writeError(w, http.StatusConflict, "job_failed", errMsg)
+	st, res := job.snapshot()
+	switch st.Phase {
+	case store.PhaseFailed:
+		writeError(w, http.StatusConflict, "job_failed", st.Error)
 		return
-	case StatusQuarantined:
-		writeError(w, http.StatusConflict, "job_quarantined", errMsg)
+	case store.PhaseQuarantined:
+		writeError(w, http.StatusConflict, "job_quarantined", st.Error)
 		return
-	case StatusQueued, StatusRunning:
+	case store.PhaseQueued, store.PhaseRunning:
 		// Estimate when the job will plausibly be done from the backlog ahead
 		// of it and the measured average runtime, instead of a flat guess.
 		s.setRetryAfter(w.Header(), s.queue.Backlog())
-		writeError(w, http.StatusConflict, "job_not_done", fmt.Sprintf("job %s is %s", job.ID, status))
+		writeError(w, http.StatusConflict, "job_not_done", fmt.Sprintf("job %s is %s", job.ID, st.Phase))
 		return
 	}
 	data := res.CSV

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ldiv"
+	"ldiv/internal/store"
 )
 
 // sampleCSV is a small 2-eligible table (no disease exceeds half the rows).
@@ -88,7 +89,8 @@ func awaitDone(t *testing.T, ts *httptest.Server, id string) jobView {
 		if code := getJSON(t, ts, "/v1/jobs/"+id, &view); code != http.StatusOK {
 			t.Fatalf("status endpoint returned %d", code)
 		}
-		if view.Status.terminal() {
+		switch view.Status {
+		case store.PhaseDone, store.PhaseFailed, store.PhaseQuarantined:
 			return view
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -123,7 +125,7 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	}
 
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("job ended %s: %s", done.Status, done.Error)
 	}
 	m := done.Metrics
@@ -215,7 +217,7 @@ func TestResultCache(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cached submit returned %d, want 200", code)
 	}
-	if !second.Cached || second.Status != StatusDone {
+	if !second.Cached || second.Status != store.PhaseDone {
 		t.Fatalf("second submission not served from cache: %+v", second)
 	}
 	_, secondCSV := fetchResult(t, ts, second.ID, "")
@@ -241,7 +243,7 @@ func TestAnatomyResultParts(t *testing.T) {
 		t.Fatalf("submit returned %d", code)
 	}
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("anatomy job failed: %s", done.Error)
 	}
 	if done.Metrics.Stars != 0 {
@@ -280,7 +282,7 @@ func TestResultBeforeDoneAndAfterFailure(t *testing.T) {
 	}
 	close(block)
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusFailed || !strings.Contains(done.Error, "synthetic failure") {
+	if done.Status != store.PhaseFailed || !strings.Contains(done.Error, "synthetic failure") {
 		t.Fatalf("job view = %+v", done)
 	}
 	code, body := fetchResult(t, ts, view.ID, "")
@@ -297,7 +299,7 @@ func TestJobPanicBecomesFailure(t *testing.T) {
 	s.run = func(t *ldiv.Table, p Params) (*Result, error) { panic("kaboom") }
 	_, view, _ := submit(t, ts, "algo=tp&l=2&qi=Age,Gender&sa=Disease", sampleCSV)
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusFailed || !strings.Contains(done.Error, "kaboom") {
+	if done.Status != store.PhaseFailed || !strings.Contains(done.Error, "kaboom") {
 		t.Fatalf("panicking job view = %+v", done)
 	}
 }
@@ -329,7 +331,7 @@ func TestQueueFullRejects(t *testing.T) {
 	for {
 		var view jobView
 		getJSON(t, ts, "/v1/jobs/"+first.ID, &view)
-		if view.Status == StatusRunning {
+		if view.Status == store.PhaseRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -377,7 +379,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The drained job completed and is still queryable.
 	done := awaitDone(t, ts, view.ID)
-	if done.Status != StatusDone {
+	if done.Status != store.PhaseDone {
 		t.Fatalf("drained job ended %s: %s", done.Status, done.Error)
 	}
 	// New submissions are refused while (and after) draining.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ldiv"
+	"ldiv/internal/store"
 )
 
 // postVerify POSTs a multipart verify request and returns (status, body).
@@ -253,7 +254,7 @@ func TestConcurrentAnonymizeAndVerify(t *testing.T) {
 					return
 				}
 				view = awaitDone(t, ts, view.ID)
-				if view.Status != StatusDone {
+				if view.Status != store.PhaseDone {
 					errs <- fmt.Errorf("%s: job ended %s: %s", algo, view.Status, view.Error)
 					return
 				}

@@ -37,7 +37,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatal("replayed job with empty ID")
 			}
 			switch job.Phase {
-			case PhaseAccepted, PhaseRunning, PhaseDone, PhaseFailed, PhaseQuarantined:
+			case PhaseQueued, PhaseRunning, PhaseDone, PhaseFailed, PhaseQuarantined:
 			default:
 				t.Fatalf("replayed job %s with invalid phase %q", job.ID, job.Phase)
 			}

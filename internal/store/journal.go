@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -56,20 +57,29 @@ type Record struct {
 	Unix int64 `json:"t,omitempty"`
 }
 
-// Phase is the folded state of a job after replaying its records.
+// Phase is a job's place in its lifecycle. The values are the status API's
+// strings; phases are never written to disk, because the journal stores ops.
 type Phase string
 
-// The replay phases. PhaseAccepted and PhaseRunning are non-terminal: the
-// process died before the job finished, so recovery re-enqueues it.
+// The job phases. A job moves queued -> running -> done|failed, looping back
+// to queued while transient failures are retried; cache hits go from queued
+// straight to done. Quarantined is the poison-job terminal phase: retries
+// exhausted, the job kept killing the process, or its stored bytes failed a
+// digest check. A replayed job that is still queued or running was
+// interrupted by a crash, so recovery re-enqueues it.
 const (
-	PhaseAccepted    Phase = "accepted"
+	PhaseQueued      Phase = "queued"
 	PhaseRunning     Phase = "running"
 	PhaseDone        Phase = "done"
 	PhaseFailed      Phase = "failed"
 	PhaseQuarantined Phase = "quarantined"
+	// PhaseShed voids a job whose queue submission was rejected: the client
+	// saw 429, so the job is never listed or shown.
+	PhaseShed Phase = "shed"
 )
 
-// JobState is a job's folded journal state.
+// JobState is a job's folded journal state. The zero value is a job with no
+// records yet.
 type JobState struct {
 	ID     string
 	Key    string
@@ -82,9 +92,82 @@ type JobState struct {
 	Attempts int
 	Phase    Phase
 	Error    string
-	Unix     int64
+	// Unix is the accept record's timestamp, the job's submission time (an
+	// orphan's is its first surviving record's).
+	Unix int64
 
 	seq int // line number of the accept record, for deterministic ordering
+}
+
+// Apply folds one record into the job's state. It is the job lifecycle's
+// only transition function: replay calls it for every journal record, and
+// the live server for every transition it journals, so a job reads the same
+// before and after a restart. docs/ARCHITECTURE.md tabulates it.
+//
+// Apply returns an error for a record that cannot happen in a healthy
+// journal — a second accept, or a transition whose accept was lost — after
+// updating the state as far as the record allows; replay reports the error
+// as a quarantine verdict.
+func (st *JobState) Apply(rec Record) error {
+	switch {
+	case st.Phase == PhaseShed:
+		// A shed ID stays dead: a 429'd job is never resurrected, even if a
+		// later (malformed) accept reuses its ID.
+		return nil
+	case rec.Op == OpShed:
+		// Honored even when the accept was lost to corruption, so a 429'd
+		// job is not resurrected.
+		*st = JobState{ID: rec.ID, Phase: PhaseShed}
+		return nil
+	case st.Phase == "" && rec.Op == OpAccept:
+		*st = JobState{
+			ID: rec.ID, Key: rec.Key, Body: rec.Body, Params: rec.Params,
+			Tenant: rec.Tenant, Phase: PhaseQueued, Unix: rec.Unix,
+		}
+		return nil
+	case st.Phase == "":
+		// A transition without an accept: the accept record was lost. The
+		// job cannot be re-run (no body digest, no params), but the record
+		// still names its ID — surface it quarantined so a client polling
+		// the ID learns the truth instead of a 404.
+		*st = JobState{
+			ID: rec.ID, Key: rec.Key, Phase: PhaseQuarantined,
+			Error: "journal corrupt: the job's accept record did not survive replay",
+			Unix:  rec.Unix,
+		}
+		return fmt.Errorf("%s record for job with no surviving accept record", rec.Op)
+	}
+	switch rec.Op {
+	case OpAccept:
+		return errors.New("duplicate accept record ignored")
+	case OpRun:
+		if st.Phase == PhaseQueued || st.Phase == PhaseRunning {
+			st.Phase = PhaseRunning
+			if rec.Attempt > st.Attempts {
+				st.Attempts = rec.Attempt
+			} else {
+				st.Attempts++
+			}
+		}
+	case OpRetry:
+		if st.Phase == PhaseRunning {
+			st.Phase = PhaseQueued
+			st.Error = rec.Error
+		}
+	case OpDone:
+		st.Phase = PhaseDone
+		if rec.Key != "" {
+			st.Key = rec.Key
+		}
+		st.Error = ""
+	case OpFailed:
+		st.Phase = PhaseFailed
+		st.Error = rec.Error
+	case OpQuarantine:
+		st.Phase = PhaseQuarantined
+		st.Error = rec.Error
+	}
+	return nil
 }
 
 // Quarantine is one corrupt or unusable piece of journal found during
@@ -168,7 +251,6 @@ func decodeRecord(line []byte) (Record, error) {
 func replayJournal(data []byte) *Replay {
 	rep := &Replay{}
 	jobs := make(map[string]*JobState)
-	shed := make(map[string]bool)
 	var offset int64
 	lineNo := 0
 	for len(data) > 0 {
@@ -197,87 +279,25 @@ func replayJournal(data []byte) *Replay {
 		}
 		offset += int64(nl + 1)
 		st := jobs[rec.ID]
-		if rec.Op == OpAccept {
-			if shed[rec.ID] {
-				// A shed ID stays dead: a 429'd job is never resurrected,
-				// even if a later (malformed) accept reuses its ID.
-				continue
-			}
-			if st != nil {
-				rep.Quarantined = append(rep.Quarantined, Quarantine{
-					Line: lineNo, JobID: rec.ID,
-					Reason: "duplicate accept record ignored",
-				})
-				continue
-			}
-			jobs[rec.ID] = &JobState{
-				ID: rec.ID, Key: rec.Key, Body: rec.Body, Params: rec.Params,
-				Tenant: rec.Tenant, Phase: PhaseAccepted, Unix: rec.Unix, seq: lineNo,
-			}
-			continue
-		}
 		if st == nil {
-			if rec.Op == OpShed {
-				// The accept may have been lost to corruption; honor the
-				// shed so a 429'd job is not resurrected.
-				shed[rec.ID] = true
-				continue
-			}
-			if shed[rec.ID] {
-				continue
-			}
-			// A transition without an accept: the accept record was lost.
-			// The job cannot be re-run (no body digest, no params), but a
-			// done record still names its ID — surface it quarantined so a
-			// client polling the ID learns the truth instead of a 404.
-			rep.Quarantined = append(rep.Quarantined, Quarantine{
-				Line: lineNo, JobID: rec.ID,
-				Reason: fmt.Sprintf("%s record for job with no surviving accept record", rec.Op),
-			})
-			jobs[rec.ID] = &JobState{
-				ID: rec.ID, Key: rec.Key, Phase: PhaseQuarantined,
-				Error: "journal corrupt: the job's accept record did not survive replay",
-				Unix:  rec.Unix, seq: 0,
-			}
-			continue
+			st = &JobState{}
+			jobs[rec.ID] = st
 		}
-		switch rec.Op {
-		case OpRun:
-			if st.Phase == PhaseAccepted || st.Phase == PhaseRunning {
-				st.Phase = PhaseRunning
-				if rec.Attempt > st.Attempts {
-					st.Attempts = rec.Attempt
-				} else {
-					st.Attempts++
-				}
-			}
-		case OpRetry:
-			if st.Phase == PhaseRunning {
-				st.Phase = PhaseAccepted
-				st.Error = rec.Error
-			}
-		case OpDone:
-			st.Phase = PhaseDone
-			if rec.Key != "" {
-				st.Key = rec.Key
-			}
-			st.Error = ""
-		case OpFailed:
-			st.Phase = PhaseFailed
-			st.Error = rec.Error
-		case OpQuarantine:
-			st.Phase = PhaseQuarantined
-			st.Error = rec.Error
-		case OpShed:
-			shed[rec.ID] = true
-			delete(jobs, rec.ID)
+		fresh := st.Phase == ""
+		if err := st.Apply(rec); err != nil {
+			rep.Quarantined = append(rep.Quarantined, Quarantine{Line: lineNo, JobID: rec.ID, Reason: err.Error()})
+		}
+		if fresh && st.Phase == PhaseQueued {
+			st.seq = lineNo
 		}
 	}
 	rep.GoodBytes = offset
 
 	//lint:ignore detrange the map range only collects values that are sorted below
 	for _, st := range jobs {
-		rep.Jobs = append(rep.Jobs, st)
+		if st.Phase != PhaseShed {
+			rep.Jobs = append(rep.Jobs, st)
+		}
 	}
 	sort.Slice(rep.Jobs, func(i, j int) bool {
 		a, b := rep.Jobs[i], rep.Jobs[j]

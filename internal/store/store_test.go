@@ -74,7 +74,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}{
 		{"j000001", PhaseDone, 1, "acme"},
 		{"j000002", PhaseRunning, 1, ""},
-		{"j000003", PhaseAccepted, 0, ""},
+		{"j000003", PhaseQueued, 0, ""},
 		{"j000004", PhaseFailed, 2, ""},
 	}
 	if len(rep.Jobs) != len(want) {
@@ -204,7 +204,7 @@ func TestReplayOrphanTransitionIsQuarantined(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 2", len(rep.Jobs))
 	}
 	// Accepted jobs order first; orphans trail.
-	if rep.Jobs[0].ID != "j000010" || rep.Jobs[0].Phase != PhaseAccepted {
+	if rep.Jobs[0].ID != "j000010" || rep.Jobs[0].Phase != PhaseQueued {
 		t.Errorf("job[0] = %s/%s, want j000010 accepted", rep.Jobs[0].ID, rep.Jobs[0].Phase)
 	}
 	if rep.Jobs[1].ID != "j000009" || rep.Jobs[1].Phase != PhaseQuarantined {

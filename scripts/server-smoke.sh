@@ -2,8 +2,8 @@
 # server-smoke.sh builds ldivd, starts it with a durable store, runs one job
 # through the full submit -> poll -> result round trip with curl, checks
 # /healthz and /metrics, kills the daemon with SIGKILL and asserts the
-# restarted daemon recovers every acknowledged job from the store, then shuts
-# it down gracefully. CI runs this on every push so neither the served path
+# restarted daemon recovers every acknowledged job from the store (a finished
+# job's status JSON byte-identical), then shuts it down gracefully. CI runs this on every push so neither the served path
 # nor crash recovery can rot. Requires: go, curl.
 set -eu
 
@@ -155,6 +155,8 @@ if [ -z "$CRASH_ID" ]; then
     echo "smoke: no job id in crash-leg response: $SUBMIT" >&2
     exit 1
 fi
+# The finished job's status JSON must read the same after the crash.
+DONE_STATUS="$(curl -fsS "$BASE/v1/jobs/$JOB_ID")"
 kill -9 "$LDIVD_PID"
 wait "$LDIVD_PID" 2>/dev/null || true
 unset LDIVD_PID
@@ -188,7 +190,14 @@ Age,Gender,Disease*) : ;;
     exit 1
     ;;
 esac
-# The pre-crash job must also survive, byte-identical.
+# The pre-crash job must also survive, its status and result byte-identical.
+DONE_STATUS2="$(curl -fsS "$BASE/v1/jobs/$JOB_ID")"
+if [ "$DONE_STATUS2" != "$DONE_STATUS" ]; then
+    echo "smoke: the pre-crash job's status changed across the restart:" >&2
+    echo "  before: $DONE_STATUS" >&2
+    echo "  after:  $DONE_STATUS2" >&2
+    exit 1
+fi
 RESULT2="$(curl -fsS "$BASE/v1/jobs/$JOB_ID/result")"
 if [ "$RESULT2" != "$RESULT" ]; then
     echo "smoke: the pre-crash job's result changed across the restart" >&2
