@@ -7,6 +7,7 @@ package ldiv_test
 // for recorded outputs and the paper-vs-measured comparison).
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -647,6 +648,65 @@ func BenchmarkAudit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// wideCSV returns, built once, the publish-wide input: 100k generated SAL
+// rows with all seven QI columns and Income, as CSV, plus its tp release at
+// l=4.
+func wideCSV(b *testing.B) ([]byte, *ldiv.Generalized) {
+	b.Helper()
+	wideOnce.Do(func() {
+		sal, err := dataset.Generate("sal", dataset.Config{Rows: 100000, Seed: 1})
+		if err != nil {
+			wideErr = err
+			return
+		}
+		var buf bytes.Buffer
+		if wideErr = ldiv.WriteCSV(&buf, sal); wideErr != nil {
+			return
+		}
+		wideBytes = buf.Bytes()
+		wideGen, _, wideErr = ldiv.AnonymizeWith(sal, 4, "tp")
+	})
+	if wideErr != nil {
+		b.Fatalf("publish-wide setup: %v", wideErr)
+	}
+	return wideBytes, wideGen
+}
+
+var (
+	wideOnce  sync.Once
+	wideBytes []byte
+	wideGen   *ldiv.Generalized
+	wideErr   error
+)
+
+// BenchmarkReadCSV measures CSV ingest of the publish-wide input: 100k rows
+// of 8 columns, each field interned into its attribute's dictionary.
+func BenchmarkReadCSV(b *testing.B) {
+	in, _ := wideCSV(b)
+	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ldiv.ReadCSV(bytes.NewReader(in), dataset.QINames, "Income"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteGeneralizedCSV measures rendering the publish-wide tp
+// release (100k rows, 7 QI columns, l=4) as CSV.
+func BenchmarkWriteGeneralizedCSV(b *testing.B) {
+	_, gen := wideCSV(b)
+	var out bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		out.Reset()
+		if err := ldiv.WriteGeneralizedCSV(&out, gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(out.Len()))
 }
 
 // reportSeriesEndpoints surfaces the final point of each series as a custom

@@ -181,6 +181,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"missing sa", "algo=tp&l=2&qi=Age", sampleCSV, 400, "missing_sa"},
 		{"empty body", "algo=tp&l=2&qi=Age&sa=Disease", "", 400, "bad_csv"},
 		{"unknown column", "algo=tp&l=2&qi=Nope&sa=Disease", sampleCSV, 400, "bad_csv"},
+		{"ambiguous QI column", "algo=tp&l=2&qi=Age&sa=Disease", "Age,Age,Disease\n30,99,flu\n40,98,cold\n", 400, "bad_csv"},
+		{"ambiguous SA column", "algo=tp&l=2&qi=Age&sa=Disease", "Disease,Age,Disease\nflu,30,cold\nflu,40,flu\n", 400, "bad_csv"},
+		{"unselected duplicate column", "algo=tp&l=2&qi=Age&sa=Disease", "Note,Age,Disease,Note\nx,30,flu,y\nx,40,cold,y\n", 202, ""},
 		{"bad projection", "algo=tp&l=2&qi=Age,Gender&sa=Disease&projection=Nope", sampleCSV, 400, "bad_projection"},
 		{"not eligible", "algo=tp&l=5&qi=Age,Gender&sa=Disease", sampleCSV, 422, "not_eligible"},
 	}

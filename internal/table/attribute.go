@@ -78,6 +78,15 @@ func (a *Attribute) Encode(label string) int {
 	return c
 }
 
+// encodeBytes is Encode for a label held in a byte slice. The lookup does not
+// allocate; only a label new to the domain is copied into a string.
+func (a *Attribute) encodeBytes(b []byte) int {
+	if c, ok := a.codes[string(b)]; ok {
+		return c
+	}
+	return a.Encode(string(b))
+}
+
 // Code returns the code for label and whether it is part of the domain.
 func (a *Attribute) Code(label string) (int, bool) {
 	c, ok := a.codes[label]

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -9,60 +11,248 @@ import (
 // ReadCSV reads a microdata table from CSV. The first record must be a header
 // naming every column. qiColumns selects (in order) the columns to treat as
 // QI attributes; saColumn names the sensitive attribute. Other columns are
-// ignored. Every value is treated as a categorical label.
+// ignored, and may share names; a selected column must be named exactly
+// once. Every value is treated as a categorical label. Errors name the
+// physical line on which the offending record starts.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
+	s := newCSVScanner(r)
+	if _, err := s.scan(); err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
-	colIdx := make(map[string]int, len(header))
-	for i, name := range header {
-		colIdx[name] = i
+	colIdx := make(map[string]int, s.fields())
+	for i := 0; i < s.fields(); i++ {
+		name := string(s.field(i))
+		if _, dup := colIdx[name]; dup {
+			colIdx[name] = -1 // ambiguous: selecting it is an error
+		} else {
+			colIdx[name] = i
+		}
+	}
+	column := func(name string) (int, error) {
+		idx, ok := colIdx[name]
+		if !ok {
+			return 0, fmt.Errorf("table: CSV has no column %q", name)
+		}
+		if idx < 0 {
+			return 0, fmt.Errorf("table: CSV header names column %q more than once", name)
+		}
+		return idx, nil
 	}
 	qiIdx := make([]int, len(qiColumns))
 	qiAttrs := make([]*Attribute, len(qiColumns))
+	need := 0 // fields a record needs to reach every selected column
 	for i, name := range qiColumns {
-		idx, ok := colIdx[name]
-		if !ok {
-			return nil, fmt.Errorf("table: CSV has no column %q", name)
+		idx, err := column(name)
+		if err != nil {
+			return nil, err
 		}
 		qiIdx[i] = idx
 		qiAttrs[i] = NewAttribute(name)
+		need = max(need, idx+1)
 	}
-	saIdx, ok := colIdx[saColumn]
-	if !ok {
-		return nil, fmt.Errorf("table: CSV has no column %q", saColumn)
+	saIdx, err := column(saColumn)
+	if err != nil {
+		return nil, err
 	}
-	schema, err := NewSchema(qiAttrs, NewAttribute(saColumn))
+	need = max(need, saIdx+1)
+	sa := NewAttribute(saColumn)
+	schema, err := NewSchema(qiAttrs, sa)
 	if err != nil {
 		return nil, err
 	}
 	t := New(schema)
-	labels := make([]string, len(qiColumns))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
+	codes := make([]int, len(qiColumns))
+	for {
+		line, err := s.scan()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("table: reading CSV line %d: %w", line, err)
 		}
-		for i, idx := range qiIdx {
-			if idx >= len(rec) {
-				return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, len(rec), idx+1)
+		if n := s.fields(); n < need {
+			for _, idx := range append(qiIdx, saIdx) {
+				if idx >= n {
+					return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, n, idx+1)
+				}
 			}
-			labels[i] = rec[idx]
 		}
-		if saIdx >= len(rec) {
-			return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, len(rec), saIdx+1)
+		for i, idx := range qiIdx {
+			codes[i] = qiAttrs[i].encodeBytes(s.field(idx))
 		}
-		if err := t.AppendLabels(labels, rec[saIdx]); err != nil {
-			return nil, err
-		}
+		t.push(codes, sa.encodeBytes(s.field(saIdx)))
 	}
 	return t, nil
+}
+
+// csvScanner reads CSV records the way encoding/csv's Reader does with the
+// settings ReadCSV needs fixed in place: comma ',', no comment lines, strict
+// quotes and a variable field count. CRLF is read as LF, blank lines are
+// skipped, a trailing '\r' before EOF is dropped, and a quoted field may span
+// lines. It is a port of the Reader's readLine and readRecord that hands
+// back each record as byte ranges in one reused buffer instead of a fresh
+// []string, and its syntax errors are the same *csv.ParseError values.
+type csvScanner struct {
+	r       *bufio.Reader
+	numLine int    // physical lines read so far
+	raw     []byte // joins a line longer than the bufio buffer
+	record  []byte // the record's unescaped fields, back to back
+	ends    []int  // ends[i] is the end offset of field i in record
+}
+
+func newCSVScanner(r io.Reader) *csvScanner {
+	return &csvScanner{r: bufio.NewReader(r)}
+}
+
+// fields returns the number of fields in the last record scanned.
+func (s *csvScanner) fields() int { return len(s.ends) }
+
+// field returns field i of the last record scanned. The bytes are only valid
+// until the next call to scan.
+func (s *csvScanner) field(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.record[start:s.ends[i]]
+}
+
+// readLine reads the next line with its trailing newline, which is omitted
+// at EOF. If some bytes were read the error is never io.EOF. The line is only
+// valid until the next call.
+func (s *csvScanner) readLine() ([]byte, error) {
+	line, err := s.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		s.raw = append(s.raw[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = s.r.ReadSlice('\n')
+			s.raw = append(s.raw, line...)
+		}
+		line = s.raw
+	}
+	if len(line) > 0 && err == io.EOF {
+		err = nil
+		if line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
+		}
+	}
+	s.numLine++
+	if n := len(line); n >= 2 && line[n-2] == '\r' && line[n-1] == '\n' {
+		line[n-2] = '\n'
+		line = line[:n-1]
+	}
+	return line, err
+}
+
+// lengthNL reports the number of bytes for the trailing \n.
+func lengthNL(b []byte) int {
+	if len(b) > 0 && b[len(b)-1] == '\n' {
+		return 1
+	}
+	return 0
+}
+
+// scan reads the next record and returns the physical line it starts on. It
+// returns io.EOF when no record is left. On any other error the record is
+// incomplete and must not be used.
+func (s *csvScanner) scan() (int, error) {
+	line, errRead := s.readLine()
+	for errRead == nil && len(line) == lengthNL(line) {
+		line, errRead = s.readLine() // skip empty lines
+	}
+	if errRead == io.EOF {
+		return s.numLine, errRead
+	}
+
+	var err error
+	recLine := s.numLine
+	s.record = s.record[:0]
+	s.ends = s.ends[:0]
+	posLine, col := s.numLine, 1 // position of the next unread byte
+parseField:
+	for {
+		if len(line) == 0 || line[0] != '"' {
+			// Unquoted field.
+			i := bytes.IndexByte(line, ',')
+			field := line
+			if i >= 0 {
+				field = field[:i]
+			} else {
+				field = field[:len(field)-lengthNL(field)]
+			}
+			if j := bytes.IndexByte(field, '"'); j >= 0 {
+				err = &csv.ParseError{StartLine: recLine, Line: s.numLine, Column: col + j, Err: csv.ErrBareQuote}
+				break parseField
+			}
+			s.record = append(s.record, field...)
+			s.ends = append(s.ends, len(s.record))
+			if i >= 0 {
+				line = line[i+1:]
+				col += i + 1
+				continue parseField
+			}
+			break parseField
+		}
+		// Quoted field.
+		line = line[1:]
+		col++
+		for {
+			i := bytes.IndexByte(line, '"')
+			switch {
+			case i >= 0:
+				s.record = append(s.record, line[:i]...)
+				line = line[i+1:]
+				col += i + 1
+				switch {
+				case len(line) > 0 && line[0] == '"':
+					// `""` is an escaped quote.
+					s.record = append(s.record, '"')
+					line = line[1:]
+					col++
+				case len(line) > 0 && line[0] == ',':
+					// `",` ends the field.
+					line = line[1:]
+					col++
+					s.ends = append(s.ends, len(s.record))
+					continue parseField
+				case lengthNL(line) == len(line):
+					// `"\n` ends the record.
+					s.ends = append(s.ends, len(s.record))
+					break parseField
+				default:
+					err = &csv.ParseError{StartLine: recLine, Line: s.numLine, Column: col - 1, Err: csv.ErrQuote}
+					break parseField
+				}
+			case len(line) > 0:
+				// The field runs on past the end of the line.
+				s.record = append(s.record, line...)
+				if errRead != nil {
+					break parseField
+				}
+				col += len(line)
+				line, errRead = s.readLine()
+				if len(line) > 0 {
+					posLine++
+					col = 1
+				}
+				if errRead == io.EOF {
+					errRead = nil
+				}
+			default:
+				// Abrupt end of input inside the quotes.
+				if errRead == nil {
+					err = &csv.ParseError{StartLine: recLine, Line: posLine, Column: col, Err: csv.ErrQuote}
+					break parseField
+				}
+				s.ends = append(s.ends, len(s.record))
+				break parseField
+			}
+		}
+	}
+	if err == nil {
+		err = errRead
+	}
+	return recLine, err
 }
 
 // WriteCSV writes the table as CSV with a header of the QI attribute names

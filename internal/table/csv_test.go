@@ -1,0 +1,289 @@
+package table
+
+import (
+	"bytes"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"testing/iotest"
+)
+
+// readCSVOracle is the encoding/csv-based ReadCSV the byte scanner replaced,
+// kept as the differential oracle. It carries the scanner's two deliberate
+// changes: errors name the physical line a record starts on (through the
+// ParseError's StartLine or csv.Reader.FieldPos), and a selected column the
+// header names twice is rejected.
+func readCSVOracle(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("table: reading CSV header: %w", err)
+	}
+	colIdx := make(map[string]int, len(header))
+	named := make(map[string]int, len(header))
+	for i, name := range header {
+		colIdx[name] = i
+		named[name]++
+	}
+	column := func(name string) (int, error) {
+		idx, ok := colIdx[name]
+		if !ok {
+			return 0, fmt.Errorf("table: CSV has no column %q", name)
+		}
+		if named[name] > 1 {
+			return 0, fmt.Errorf("table: CSV header names column %q more than once", name)
+		}
+		return idx, nil
+	}
+	qiIdx := make([]int, len(qiColumns))
+	qiAttrs := make([]*Attribute, len(qiColumns))
+	for i, name := range qiColumns {
+		idx, err := column(name)
+		if err != nil {
+			return nil, err
+		}
+		qiIdx[i] = idx
+		qiAttrs[i] = NewAttribute(name)
+	}
+	saIdx, err := column(saColumn)
+	if err != nil {
+		return nil, err
+	}
+	schema, err := NewSchema(qiAttrs, NewAttribute(saColumn))
+	if err != nil {
+		return nil, err
+	}
+	t := New(schema)
+	labels := make([]string, len(qiColumns))
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			var line int
+			var pe *csv.ParseError
+			if errors.As(err, &pe) {
+				line = pe.StartLine
+			} else {
+				line, _ = cr.FieldPos(0)
+			}
+			return nil, fmt.Errorf("table: reading CSV line %d: %w", line, err)
+		}
+		line, _ := cr.FieldPos(0)
+		for i, idx := range qiIdx {
+			if idx >= len(rec) {
+				return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, len(rec), idx+1)
+			}
+			labels[i] = rec[idx]
+		}
+		if saIdx >= len(rec) {
+			return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, len(rec), saIdx+1)
+		}
+		if err := t.AppendLabels(labels, rec[saIdx]); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// sameTables reports how two tables differ in codes or label dictionaries,
+// or "" when they agree on both.
+func sameTables(a, b *Table) string {
+	if !a.Equal(b) {
+		return "tables differ in their codes"
+	}
+	attrs := func(t *Table) []*Attribute { return append(t.Schema().QIAttributes(), t.Schema().SA()) }
+	for j, x := range attrs(a) {
+		y := attrs(b)[j]
+		if x.Name() != y.Name() || !slices.Equal(x.Labels(), y.Labels()) {
+			return fmt.Sprintf("attribute %d: %q%q vs %q%q", j, x.Name(), x.Labels(), y.Name(), y.Labels())
+		}
+	}
+	return ""
+}
+
+// checkAgainstOracle fails t unless ReadCSV and readCSVOracle agree on data:
+// the same table with the same dictionaries, or the same error text.
+func checkAgainstOracle(t *testing.T, data []byte, qi []string, sa string) {
+	t.Helper()
+	got, gotErr := ReadCSV(bytes.NewReader(data), qi, sa)
+	want, wantErr := readCSVOracle(bytes.NewReader(data), qi, sa)
+	switch {
+	case gotErr != nil || wantErr != nil:
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("input %q:\nReadCSV error: %v\n oracle error: %v", data, gotErr, wantErr)
+		}
+	default:
+		if diff := sameTables(got, want); diff != "" {
+			t.Fatalf("input %q: %s", data, diff)
+		}
+	}
+}
+
+// readCSVSeeds are the hand-written seeds of both ReadCSV fuzz targets.
+var readCSVSeeds = []string{
+	"A,B,S\n1,2,x\n3,4,y\n",
+	"A,B,S\n",
+	"S,B,A\nx,2,1\n",
+	"A,B,S,Extra\n1,2,x,ignored\n",
+	"A,B,S\n\"a,b\",\"c\nd\",\"*\"\n",
+	"B,A\n1,2\n",
+	"A;B;S\n1;2;3\n",
+	"",
+}
+
+// differentialSeeds cover the corners of encoding/csv's grammar the scanner
+// must reproduce.
+var differentialSeeds = []string{
+	"A,B,S\n\"1\",\"2\",\"x\"\n",                     // quoted fields
+	"A,B,S\n\"a\"\"b\",\"\"\"\",\"x\"\"\"\n",         // "" escapes
+	"A,B,S\r\n\"a\r\nb\",2,\"x\r\n\"\r\n",            // CRLF inside quotes
+	"A,B,S\r\n1,2,x\r\n3,4,y\r\n",                    // CRLF outside quotes
+	"A,B,S\n1\r2,3,x\n\"a\rb\",\r,y\n",               // lone \r
+	"A,B,S\n\n\n1,2,x\n\n3,4,y\n\n",                  // blank lines
+	"A,B,S\r\n\r\n1,2,x\r\n\r\n",                     // CRLF blank lines
+	"A,B,S\n1,2\n",                                   // ragged: too short
+	"A,B,S\n1,2,x,y,z\n1,2,x\n",                      // ragged: long then short
+	"A,B,S\n\n\n1,2\n",                               // short record after blank lines
+	"A,B,S\n1,a\"b,x\n",                              // bare quote
+	"A,B,S\n\"a\"b,2,x\n",                            // quote inside a quoted field
+	"A,B,S\n\"x\ny\",1,s\n1,\"2\n",                   // EOF inside a quote
+	"A,B,S\r\n1,2,3\r\n\r\n1,\"2\n",                  // EOF inside a quote after CRLF
+	"A,B,S\n1,2,x\r",                                 // trailing \r at EOF
+	"A,B,S\n1,2,\"x\"\r",                             // trailing \r at EOF after a quote
+	"A,B,S\n1,2,x",                                   // no final newline
+	"A,B,S\n\"\"",                                    // empty quoted field at EOF
+	"A,A,B,S\n1,2,3,x\n",                             // ambiguous selected column
+	"A,B,S,X,X\n1,2,x,3,4\n",                         // duplicate unselected column
+	"A,B,S\n" + strings.Repeat("a", 5000) + ",2,x\n", // record longer than the buffer
+	"A,B,S\n\"" + strings.Repeat("q\r\n", 2000) + "\",2,x\r\n",
+}
+
+// fuzzCorpus returns the inputs of FuzzReadCSV's checked-in corpus.
+func fuzzCorpus(t testing.TB) [][]byte {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzReadCSV", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, ok := strings.Cut(string(b), "\n")
+		body = strings.TrimSpace(body)
+		if !ok || !strings.HasPrefix(body, "[]byte(") || !strings.HasSuffix(body, ")") {
+			t.Fatalf("%s: not a []byte corpus entry", f)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, []byte(s))
+	}
+	if len(out) == 0 {
+		t.Fatal("FuzzReadCSV corpus is empty")
+	}
+	return out
+}
+
+// FuzzReadCSVDifferential checks the byte scanner against the encoding/csv
+// oracle on arbitrary bytes: both readers must build equal tables with
+// identical label dictionaries, or fail with the same error text. Each input
+// is read under two column selections, in header order and reversed.
+func FuzzReadCSVDifferential(f *testing.F) {
+	for _, s := range append(readCSVSeeds, differentialSeeds...) {
+		f.Add([]byte(s))
+	}
+	for _, b := range fuzzCorpus(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data, []string{"A", "B"}, "S")
+		checkAgainstOracle(t, data, []string{"S", "B"}, "A")
+	})
+}
+
+func TestReadCSVLineNumbers(t *testing.T) {
+	tests := []struct {
+		name, in, want string
+	}{
+		{"blank lines", "A,B,S\n\n\n1,2\n",
+			"table: CSV line 4 has 2 fields, need column 3"},
+		{"CRLF blank line", "A,B,S\r\n1,2,3\r\n\r\n1,\"2\n",
+			"table: reading CSV line 4: parse error on line 4, column 6: extraneous or missing \" in quoted-field"},
+		{"multi-line quoted field", "A,B,S\n\"x\ny\",1,s\n1,2\n",
+			"table: CSV line 4 has 2 fields, need column 3"},
+		{"error inside a multi-line field", "A,B,S\n1,\"x\ny\"z,s\n",
+			"table: reading CSV line 2: record on line 2; parse error on line 3, column 2: extraneous or missing \" in quoted-field"},
+		{"bare quote after CRLF blank lines", "A,B,S\r\n\r\n\r\n1,a\"b,x\r\n",
+			"table: reading CSV line 4: parse error on line 4, column 4: bare \" in non-quoted-field"},
+		{"header parse error", "A,\"B\"x,S\n",
+			"table: reading CSV header: parse error on line 1, column 5: extraneous or missing \" in quoted-field"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadCSV(strings.NewReader(tc.in), []string{"A", "B"}, "S")
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error %v\nwant %s", err, tc.want)
+			}
+			checkAgainstOracle(t, []byte(tc.in), []string{"A", "B"}, "S")
+		})
+	}
+}
+
+func TestReadCSVDuplicateHeader(t *testing.T) {
+	in := "Age,Age,Income,Note,Note\n30,99,a,x,y\n"
+	for _, tc := range []struct {
+		qi       []string
+		sa, want string
+	}{
+		{[]string{"Age"}, "Income", `table: CSV header names column "Age" more than once`},
+		{[]string{"Income"}, "Age", `table: CSV header names column "Age" more than once`},
+		{[]string{"Income"}, "Note", `table: CSV header names column "Note" more than once`},
+	} {
+		_, err := ReadCSV(strings.NewReader(in), tc.qi, tc.sa)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("qi %v sa %s: error %v, want %s", tc.qi, tc.sa, err, tc.want)
+		}
+		checkAgainstOracle(t, []byte(in), tc.qi, tc.sa)
+	}
+	// Duplicate names on columns nobody selects stay allowed.
+	tbl, err := ReadCSV(strings.NewReader("Zip,Age,Zip,Income\n1,30,2,a\n"), []string{"Age"}, "Income")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.QILabel(0, 0) != "30" || tbl.SALabel(0) != "a" {
+		t.Errorf("read %q/%q, want 30/a", tbl.QILabel(0, 0), tbl.SALabel(0))
+	}
+}
+
+// TestReadCSVReadError checks that an I/O error from the underlying reader
+// is reported with the line its record starts on, like a syntax error.
+func TestReadCSVReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct{ in, want string }{
+		{"", "table: reading CSV header: boom"},
+		{"A,B,S\n1,2,x\n\n3,", "table: reading CSV line 4: boom"},
+	} {
+		r := io.MultiReader(strings.NewReader(tc.in), iotest.ErrReader(boom))
+		_, err := ReadCSV(r, []string{"A", "B"}, "S")
+		if !errors.Is(err, boom) || err.Error() != tc.want {
+			t.Errorf("input %q: error %v, want %s", tc.in, err, tc.want)
+		}
+		r = io.MultiReader(strings.NewReader(tc.in), iotest.ErrReader(boom))
+		if _, err := readCSVOracle(r, []string{"A", "B"}, "S"); err == nil || err.Error() != tc.want {
+			t.Errorf("input %q: oracle error %v, want %s", tc.in, err, tc.want)
+		}
+	}
+}

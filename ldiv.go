@@ -88,7 +88,8 @@ func NewSchema(qi []*Attribute, sa *Attribute) (*Schema, error) { return table.N
 func NewTable(schema *Schema) *Table { return table.New(schema) }
 
 // ReadCSV reads microdata from CSV, treating qiColumns as QI attributes and
-// saColumn as the sensitive attribute.
+// saColumn as the sensitive attribute. Each selected column must be named
+// exactly once in the header; errors name the line a bad record starts on.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 	return table.ReadCSV(r, qiColumns, saColumn)
 }
