@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks whose before/after numbers EXPERIMENTS.md tracks.
-CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkWriteGeneralizedCSV
+CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkWriteGeneralizedCSV|BenchmarkVerifyGeneralized
 
 # Benchmarks of the columnar table core: the data-model primitives
 # (append/sample/subset/project), the grouping primitive every TP run starts
@@ -120,13 +120,16 @@ docs-lint:
 # fuzz-smoke runs every native fuzz target briefly (seed corpus under
 # testdata/fuzz/ plus FUZZTIME of mutation per target), so the parsers that
 # face untrusted bytes — microdata CSV, job parameters, release CSVs — get
-# exercised on every push. FuzzReadCSVDifferential checks the CSV byte
-# scanner against the encoding/csv reader it replaced. Raise FUZZTIME locally
+# exercised on every push. FuzzReadCSVDifferential checks ReadCSV against
+# the encoding/csv reader it replaced, and FuzzRecordScannerDifferential
+# checks the record scanner against it over whole streams, including scanning
+# on past syntax errors as the release auditor does. Raise FUZZTIME locally
 # for a real hunt, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVDifferential$$' -fuzztime $(FUZZTIME) ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordScannerDifferential$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzParseParams$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzParseVerifyParams$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeneralizedRelease$$' -fuzztime $(FUZZTIME) ./internal/audit

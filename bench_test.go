@@ -635,8 +635,9 @@ func BenchmarkKLDivergence(b *testing.B) {
 	}
 }
 
-// BenchmarkAudit measures the linking-attack audit on each release of
-// klReleases.
+// BenchmarkAudit measures attack.Audit, the linking attack, on each release
+// of klReleases. It does not time the release auditor that verifies
+// l-diversity from published bytes; BenchmarkVerifyGeneralized does.
 func BenchmarkAudit(b *testing.B) {
 	for _, r := range klReleases(b) {
 		b.Run(r.algo, func(b *testing.B) {
@@ -707,6 +708,39 @@ func BenchmarkWriteGeneralizedCSV(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(out.Len()))
+}
+
+// BenchmarkVerifyGeneralized measures the release auditor on the
+// publish-wide tp release (100k rows, 7 QI columns, l=4): "clean" audits the
+// release as published; "hostile" audits it with every "*" replaced by "?",
+// so every suppressed cell is an unknown-value violation and the report is
+// truncated at the default cap.
+func BenchmarkVerifyGeneralized(b *testing.B) {
+	_, gen := wideCSV(b)
+	var release bytes.Buffer
+	if err := ldiv.WriteGeneralizedCSV(&release, gen); err != nil {
+		b.Fatal(err)
+	}
+	hostile := bytes.ReplaceAll(release.Bytes(), []byte("*"), []byte("?"))
+	for _, bc := range []struct {
+		name    string
+		release []byte
+		ok      bool
+	}{{"clean", release.Bytes(), true}, {"hostile", hostile, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.release)))
+			b.ReportAllocs()
+			for b.Loop() {
+				rep, err := ldiv.VerifyRelease(gen.Source, bytes.NewReader(bc.release), ldiv.VerifyOptions{L: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.OK != bc.ok {
+					b.Fatalf("verdict ok=%v, want %v (%d violations)", rep.OK, bc.ok, rep.ViolationCount)
+				}
+			}
+		})
+	}
 }
 
 // reportSeriesEndpoints surfaces the final point of each series as a custom

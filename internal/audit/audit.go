@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"ldiv/internal/eligibility"
+	"ldiv/internal/generalize"
 	"ldiv/internal/sat"
 	"ldiv/internal/table"
 )
@@ -88,21 +90,25 @@ func checkGroupPrivacy(rep *reporter, gid, n int, c *groupCounter, res *saResolv
 				max, arg = c.counts[v], v
 			}
 		}
-		rep.add(ViolationFrequency, gid, -1,
-			fmt.Sprintf("group %d has %d tuples but %d share sensitive value %q (needs at most %d for l=%d)",
-				gid, n, max, res.label(int(arg)), n/opts.L, opts.L))
+		rep.add(ViolationFrequency, gid, -1, func() string {
+			return fmt.Sprintf("group %d has %d tuples but %d share sensitive value %q (needs at most %d for l=%d)",
+				gid, n, max, res.label(int(arg)), n/opts.L, opts.L)
+		})
 	}
 	if !eligibility.GroupDistinctOK(c.vals, opts.L) {
-		rep.add(ViolationDistinct, gid, -1,
-			fmt.Sprintf("group %d has only %d distinct sensitive values (needs %d)", gid, len(c.vals), opts.L))
+		rep.add(ViolationDistinct, gid, -1, func() string {
+			return fmt.Sprintf("group %d has only %d distinct sensitive values (needs %d)", gid, len(c.vals), opts.L)
+		})
 	}
 	if opts.Entropy && !eligibility.GroupEntropyOK(c.counts, c.vals, n, opts.L) {
-		rep.add(ViolationEntropy, gid, -1,
-			fmt.Sprintf("group %d breaks entropy %d-diversity", gid, opts.L))
+		rep.add(ViolationEntropy, gid, -1, func() string {
+			return fmt.Sprintf("group %d breaks entropy %d-diversity", gid, opts.L)
+		})
 	}
 	if opts.RecursiveC > 0 && !eligibility.GroupRecursiveOK(c.counts, c.vals, opts.RecursiveC, opts.L) {
-		rep.add(ViolationRecursive, gid, -1,
-			fmt.Sprintf("group %d breaks recursive (%g,%d)-diversity", gid, opts.RecursiveC, opts.L))
+		rep.add(ViolationRecursive, gid, -1, func() string {
+			return fmt.Sprintf("group %d breaks recursive (%g,%d)-diversity", gid, opts.RecursiveC, opts.L)
+		})
 	}
 }
 
@@ -142,13 +148,15 @@ func checkGroupPrivacyCounts(rep *reporter, gid int, codes []int, counts map[int
 		}
 	}
 	if max > size/opts.L {
-		rep.add(ViolationFrequency, gid, -1,
-			fmt.Sprintf("group %d has %d tuples but %d share sensitive value %q (needs at most %d for l=%d)",
-				gid, size, max, res.label(argMax), size/opts.L, opts.L))
+		rep.add(ViolationFrequency, gid, -1, func() string {
+			return fmt.Sprintf("group %d has %d tuples but %d share sensitive value %q (needs at most %d for l=%d)",
+				gid, size, max, res.label(argMax), size/opts.L, opts.L)
+		})
 	}
 	if len(codes) < opts.L {
-		rep.add(ViolationDistinct, gid, -1,
-			fmt.Sprintf("group %d has only %d distinct sensitive values (needs %d)", gid, len(codes), opts.L))
+		rep.add(ViolationDistinct, gid, -1, func() string {
+			return fmt.Sprintf("group %d has only %d distinct sensitive values (needs %d)", gid, len(codes), opts.L)
+		})
 	}
 	if opts.Entropy {
 		entropy := 0.0
@@ -157,8 +165,9 @@ func checkGroupPrivacyCounts(rep *reporter, gid int, codes []int, counts map[int
 			entropy -= p * math.Log(p)
 		}
 		if entropy+1e-12 < math.Log(float64(opts.L)) {
-			rep.add(ViolationEntropy, gid, -1,
-				fmt.Sprintf("group %d breaks entropy %d-diversity", gid, opts.L))
+			rep.add(ViolationEntropy, gid, -1, func() string {
+				return fmt.Sprintf("group %d breaks entropy %d-diversity", gid, opts.L)
+			})
 		}
 	}
 	if opts.RecursiveC > 0 {
@@ -176,8 +185,9 @@ func checkGroupPrivacyCounts(rep *reporter, gid int, codes []int, counts map[int
 			recursiveOK = float64(sorted[len(sorted)-1]) < opts.RecursiveC*tail
 		}
 		if !recursiveOK {
-			rep.add(ViolationRecursive, gid, -1,
-				fmt.Sprintf("group %d breaks recursive (%g,%d)-diversity", gid, opts.RecursiveC, opts.L))
+			rep.add(ViolationRecursive, gid, -1, func() string {
+				return fmt.Sprintf("group %d breaks recursive (%g,%d)-diversity", gid, opts.RecursiveC, opts.L)
+			})
 		}
 	}
 }
@@ -200,9 +210,10 @@ func reportMultisetDiff(rep *reporter, gid int, c *groupCounter, res *saResolver
 	if delta < 0 {
 		verb, delta = "fewer", -delta
 	}
-	rep.add(ViolationSAMismatch, gid, -1,
-		fmt.Sprintf("group %d publishes %d %s occurrence(s) of sensitive value %q than the original rows it covers",
-			gid, delta, verb, res.label(arg)))
+	rep.add(ViolationSAMismatch, gid, -1, func() string {
+		return fmt.Sprintf("group %d publishes %d %s occurrence(s) of sensitive value %q than the original rows it covers",
+			gid, delta, verb, res.label(arg))
+	})
 	return true
 }
 
@@ -223,78 +234,112 @@ func VerifyGeneralized(t *table.Table, release io.Reader, opts Options) (*Report
 		return nil, err
 	}
 	rep := newReporter(KindGeneralized, opts, t.Len())
-	rows, structOK, skipped, err := parseGeneralized(t.Schema(), release, rep)
+	rel, structOK, err := parseGeneralized(t.Schema(), t.Len(), release, rep)
 	if err != nil {
 		return nil, err
 	}
-	rep.report.ReleaseRows = len(rows) + skipped
 	if !structOK {
 		return rep.finish(), nil
 	}
-	groups := groupRows(rows)
-	rep.report.Groups = len(groups)
+	rows := rel.rows
+	rep.report.ReleaseRows = len(rows) + rel.skipped
+	rep.report.Groups = rel.groups
 
 	// Row-aligned fidelity needs the release to have exactly one data row
 	// per original tuple; rows the parser had to skip count as present (they
 	// occupy a file position) but make per-row comparison unsafe only for
 	// themselves — parsed rows keep their own file index (genRow.idx), so
 	// the remaining rows still compare against the right original tuples.
-	aligned := len(rows)+skipped == t.Len()
+	aligned := len(rows)+rel.skipped == t.Len()
 	if !aligned {
-		rep.add(ViolationRowCount, -1, -1,
-			fmt.Sprintf("release has %d data rows, the original table has %d", len(rows)+skipped, t.Len()))
+		rep.add(ViolationRowCount, -1, -1, func() string {
+			return fmt.Sprintf("release has %d data rows, the original table has %d", len(rows)+rel.skipped, t.Len())
+		})
 	}
 
 	// Per-cell checks: every published QI label must be interpretable over
 	// the original domain, and (when row counts reconcile) must cover the
-	// original value it replaces.
+	// original value it replaces. Each distinct label is parsed once.
 	sch := t.Schema()
 	d := sch.Dimensions()
-	parsers := make([]*cellParser, d)
-	for j := range parsers {
-		parsers[j] = newCellParser(sch.QI(j))
+	type parsedCell struct {
+		cell  generalize.Cell
+		known bool
+	}
+	cells := make([][]parsedCell, d)
+	for j := range cells {
+		p := newCellParser(sch.QI(j))
+		cells[j] = make([]parsedCell, rel.qi[j].Cardinality())
+		for code := range cells[j] {
+			cells[j][code].cell, cells[j][code].known = p.parse(rel.qi[j].Label(code))
+		}
 	}
 	for i := range rows {
 		r := &rows[i]
-		for j := 0; j < d; j++ {
-			cell, known := parsers[j].parse(r.qi[j])
-			if !known {
-				rep.add(ViolationUnknownValue, r.group, r.idx,
-					fmt.Sprintf("row %d publishes %q for attribute %q, which is outside the original domain",
-						r.idx, r.qi[j], sch.QI(j).Name()))
+		for j, code := range rel.groupQI[r.group*d : (r.group+1)*d] {
+			c := &cells[j][code]
+			if !c.known {
+				rep.add(ViolationUnknownValue, r.group, r.idx, func() string {
+					return fmt.Sprintf("row %d publishes %q for attribute %q, which is outside the original domain",
+						r.idx, rel.qi[j].Label(code), sch.QI(j).Name())
+				})
 				continue
 			}
-			if aligned && !cell.Covers(t.QIAt(r.idx, j)) {
-				rep.add(ViolationQICoverage, r.group, r.idx,
-					fmt.Sprintf("row %d publishes %q for attribute %q, which does not cover the original value %q",
-						r.idx, r.qi[j], sch.QI(j).Name(), t.QILabel(r.idx, j)))
+			if aligned && !c.cell.Covers(t.QIAt(r.idx, j)) {
+				rep.add(ViolationQICoverage, r.group, r.idx, func() string {
+					return fmt.Sprintf("row %d publishes %q for attribute %q, which does not cover the original value %q",
+						r.idx, rel.qi[j].Label(code), sch.QI(j).Name(), t.QILabel(r.idx, j))
+				})
 			}
 		}
 	}
 
 	// Resolve the published sensitive labels to dense codes over the original
-	// domain extended with any unseen labels.
+	// domain extended with any unseen labels. Labels are resolved in
+	// first-appearance order, so unseen labels get the same extension codes
+	// as a row-by-row resolution would give them.
 	res := newSAResolver(sch.SA())
-	saCodes := make([]int, len(rows))
-	unknownSeen := make(map[string]bool)
+	saCodes := make([]int, rel.sa.Cardinality())
+	saKnown := make([]bool, rel.sa.Cardinality())
+	for code := range saCodes {
+		saCodes[code], saKnown[code] = res.code(rel.sa.Label(code))
+	}
 	for i := range rows {
-		code, known := res.code(rows[i].sa)
-		saCodes[i] = code
-		if !known && !unknownSeen[rows[i].sa] {
-			unknownSeen[rows[i].sa] = true
-			rep.add(ViolationUnknownValue, rows[i].group, rows[i].idx,
-				fmt.Sprintf("row %d publishes sensitive value %q, which is outside the original domain", rows[i].idx, rows[i].sa))
+		r := &rows[i]
+		if !saKnown[r.sa] {
+			saKnown[r.sa] = true // report only the label's first row
+			rep.add(ViolationUnknownValue, r.group, r.idx, func() string {
+				return fmt.Sprintf("row %d publishes sensitive value %q, which is outside the original domain",
+					r.idx, rel.sa.Label(r.sa))
+			})
 		}
+	}
+
+	// Each group's rows, in release order: members[start[g]:start[g+1]].
+	start := make([]int, rel.groups+1)
+	for i := range rows {
+		start[rows[i].group+1]++
+	}
+	for g := 0; g < rel.groups; g++ {
+		start[g+1] += start[g]
+	}
+	members := make([]int, len(rows))
+	next := slices.Clone(start[:rel.groups])
+	for i := range rows {
+		g := rows[i].group
+		members[next[g]] = i
+		next[g]++
 	}
 
 	counter := newGroupCounter(res.domain())
 	sa := t.SAView()
-	for gid, g := range groups {
+	for gid := 0; gid < rel.groups; gid++ {
+		g := members[start[gid]:start[gid+1]]
 		// Privacy: the group's published sensitive histogram must be
 		// l-eligible regardless of what the original table holds.
 		counter.reset()
 		for _, i := range g {
-			counter.addN(saCodes[i], 1)
+			counter.addN(saCodes[rows[i].sa], 1)
 		}
 		checkGroupPrivacy(rep, gid, len(g), counter, res, opts)
 
@@ -337,8 +382,9 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 	}
 
 	if len(qrows)+skipped != t.Len() {
-		rep.add(ViolationRowCount, -1, -1,
-			fmt.Sprintf("QIT has %d data rows, the original table has %d", len(qrows)+skipped, t.Len()))
+		rep.add(ViolationRowCount, -1, -1, func() string {
+			return fmt.Sprintf("QIT has %d data rows, the original table has %d", len(qrows)+skipped, t.Len())
+		})
 	}
 
 	// Tuple references: each published Row id must name an original tuple,
@@ -351,18 +397,21 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 	for i := range qrows {
 		q := &qrows[i]
 		if q.row < 0 || q.row >= t.Len() {
-			rep.add(ViolationRowRef, q.gid, q.idx,
-				fmt.Sprintf("QIT row %d references tuple %d outside the original table [0,%d)", q.idx, q.row, t.Len()))
+			rep.add(ViolationRowRef, q.gid, q.idx, func() string {
+				return fmt.Sprintf("QIT row %d references tuple %d outside the original table [0,%d)", q.idx, q.row, t.Len())
+			})
 		} else if seen[q.row] {
-			rep.add(ViolationRowRef, q.gid, q.idx,
-				fmt.Sprintf("QIT row %d references tuple %d, which another QIT row already covers", q.idx, q.row))
+			rep.add(ViolationRowRef, q.gid, q.idx, func() string {
+				return fmt.Sprintf("QIT row %d references tuple %d, which another QIT row already covers", q.idx, q.row)
+			})
 		} else {
 			seen[q.row] = true
 			for j := 0; j < d; j++ {
 				if q.qi[j] != t.QILabel(q.row, j) {
-					rep.add(ViolationQICoverage, q.gid, q.idx,
-						fmt.Sprintf("QIT row %d publishes %q for attribute %q of tuple %d, the original value is %q (anatomy publishes QI values exactly)",
-							q.idx, q.qi[j], sch.QI(j).Name(), q.row, t.QILabel(q.row, j)))
+					rep.add(ViolationQICoverage, q.gid, q.idx, func() string {
+						return fmt.Sprintf("QIT row %d publishes %q for attribute %q of tuple %d, the original value is %q (anatomy publishes QI values exactly)",
+							q.idx, q.qi[j], sch.QI(j).Name(), q.row, t.QILabel(q.row, j))
+					})
 				}
 			}
 		}
@@ -385,8 +434,9 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 		code, known := res.code(e.label)
 		if !known && !unknownSeen[e.label] {
 			unknownSeen[e.label] = true
-			rep.add(ViolationUnknownValue, e.gid, e.idx,
-				fmt.Sprintf("ST row %d publishes sensitive value %q, which is outside the original domain", e.idx, e.label))
+			rep.add(ViolationUnknownValue, e.gid, e.idx, func() string {
+				return fmt.Sprintf("ST row %d publishes sensitive value %q, which is outside the original domain", e.idx, e.label)
+			})
 		}
 		g := stGroups[e.gid]
 		if g == nil {
@@ -405,8 +455,9 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 	sort.Ints(gids)
 	for _, gid := range gids {
 		if stGroups[gid] == nil {
-			rep.add(ViolationGroupRef, gid, -1,
-				fmt.Sprintf("group %d appears in the QIT but not in the sensitive table", gid))
+			rep.add(ViolationGroupRef, gid, -1, func() string {
+				return fmt.Sprintf("group %d appears in the QIT but not in the sensitive table", gid)
+			})
 		}
 	}
 	stIDs := make([]int, 0, len(stGroups))
@@ -416,8 +467,9 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 	sort.Ints(stIDs)
 	for _, gid := range stIDs {
 		if qitGroups[gid] == nil {
-			rep.add(ViolationGroupRef, gid, -1,
-				fmt.Sprintf("group %d appears in the sensitive table but not in the QIT", gid))
+			rep.add(ViolationGroupRef, gid, -1, func() string {
+				return fmt.Sprintf("group %d appears in the sensitive table but not in the QIT", gid)
+			})
 		}
 	}
 	rep.report.Groups = len(qitGroups)
@@ -452,9 +504,10 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 		for _, code := range codes {
 			count := stg.counts[code]
 			if count > t.Len() {
-				rep.add(ViolationSTMismatch, gid, -1,
-					fmt.Sprintf("group %d publishes %d occurrences of sensitive value %q, more than the original table's %d rows",
-						gid, count, res.label(code), t.Len()))
+				rep.add(ViolationSTMismatch, gid, -1, func() string {
+					return fmt.Sprintf("group %d publishes %d occurrences of sensitive value %q, more than the original table's %d rows",
+						gid, count, res.label(code), t.Len())
+				})
 				count = t.Len() + 1
 			}
 			counter.addN(code, sat.Int32(count))
@@ -463,8 +516,9 @@ func VerifyAnatomy(t *table.Table, qit, st io.Reader, opts Options) (*Report, er
 		// The ST must reconcile with the QIT: the counts of a group sum to
 		// the number of QIT rows in it.
 		if stg.size != len(members) {
-			rep.add(ViolationSTMismatch, gid, -1,
-				fmt.Sprintf("group %d has %d QIT rows but its sensitive-table counts sum to %d", gid, len(members), stg.size))
+			rep.add(ViolationSTMismatch, gid, -1, func() string {
+				return fmt.Sprintf("group %d has %d QIT rows but its sensitive-table counts sum to %d", gid, len(members), stg.size)
+			})
 		}
 		// Fidelity: the published multiset must equal the original sensitive
 		// multiset of the tuples the group covers (valid references only —

@@ -146,6 +146,9 @@ func TestDifferentialCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed %d l=%d %s: verify error: %v", name, s, l, algo, err)
 					}
+					if algo != "anatomy" {
+						checkOracle(t, tab, release, ldiv.VerifyOptions{L: l}, rep)
+					}
 					audited++
 					if !rep.OK {
 						cmd := dumpReproducer(t, tab, release, st, l, algo)

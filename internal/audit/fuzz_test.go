@@ -92,8 +92,9 @@ func corpusFamilySeeds(f *testing.F, anatomyRelease bool) [][2][]byte {
 
 // FuzzParseGeneralizedRelease fuzzes the generalized-release parser and
 // verifier with arbitrary bytes: it must never panic and never return an
-// error for in-memory input (corrupt releases are verdicts, not errors), and
-// the report invariants must hold.
+// error for in-memory input (corrupt releases are verdicts, not errors), the
+// report invariants must hold, and the report must equal the per-row
+// oracle's.
 func FuzzParseGeneralizedRelease(f *testing.F) {
 	f.Add([]byte("Age,Gender,Disease\n30,*,flu\n30,*,cold\n40,*,flu\n40,*,cold\n50,*,angina\n50,*,flu\n60,*,cold\n60,*,angina\n"))
 	f.Add([]byte("Age,Gender,Disease\n{30,40},M,flu\n{30,40},F,cold\n"))
@@ -101,6 +102,10 @@ func FuzzParseGeneralizedRelease(f *testing.F) {
 	f.Add([]byte("Age,Sex,Disease\n30,M,flu\n"))
 	f.Add([]byte("Age,Gender,Disease\n30,M\n"))
 	f.Add([]byte("Age,Gender,Disease\n99,Q,zzz\n"))
+	f.Add([]byte("Age,Gender,Disease\n30,\"M\"x,flu\n40,a\"b,cold\n50,*,\"angina\n60,*,flu\n"))
+	f.Add([]byte("Age,Gender,Disease\n3,0M,flu\n30,M,cold\n3,0M,cold\n30,M,flu\n"))
+	f.Add([]byte("Age,Gender,Disease\n30,*,zzz\n30,*,yyy\n40,*,yyy\n40,*,zzz\n50,*,yyy\n50,*,flu\n60,*,zzz\n60,*,angina\n"))
+	f.Add([]byte("Age,Gender,Disease\n30,*,flu\n30,*,cold\n99,*,flu\n99,*,zzz\n"))
 	f.Add([]byte("\"unterminated\n"))
 	f.Add([]byte(""))
 	for _, seed := range corpusFamilySeeds(f, false) {
@@ -108,11 +113,13 @@ func FuzzParseGeneralizedRelease(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := fuzzOriginal(t)
-		rep, err := audit.VerifyGeneralized(tab, bytes.NewReader(data), audit.Options{L: 2})
+		opts := audit.Options{L: 2}
+		rep, err := audit.VerifyGeneralized(tab, bytes.NewReader(data), opts)
 		if err != nil {
 			t.Fatalf("in-memory verification returned an operational error: %v", err)
 		}
 		checkReport(t, rep)
+		checkOracle(t, tab, data, opts, rep)
 	})
 }
 

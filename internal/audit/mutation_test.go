@@ -54,13 +54,15 @@ func joinRelease(header string, data []string) []byte {
 	return []byte(header + "\n" + strings.Join(data, "\n") + "\n")
 }
 
-// verifyKinds audits a generalized release and returns the violation kinds.
+// verifyKinds audits a generalized release, checks the report against the
+// oracle's, and returns the violation kinds.
 func verifyKinds(t *testing.T, tab *ldiv.Table, release []byte, l int) (map[audit.ViolationKind]bool, *ldiv.ReleaseReport) {
 	t.Helper()
 	rep, err := ldiv.VerifyRelease(tab, bytes.NewReader(release), ldiv.VerifyOptions{L: l})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, tab, release, ldiv.VerifyOptions{L: l}, rep)
 	ks := make(map[audit.ViolationKind]bool)
 	for _, v := range rep.Violations {
 		ks[v.Kind] = true

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -20,85 +21,125 @@ import (
 // a verification verdict, not an operational error — and an error is returned
 // only when the underlying reader fails.
 
-// genRow is one parsed data row of a generalized release.
-type genRow struct {
-	idx   int      // 0-based data-row index in the release file
-	qi    []string // published QI labels (exact, "*", or "{v1,v2,...}")
-	sa    string   // published sensitive label
-	group int      // QI-signature group, assigned by groupRows
+// genRelease is a parsed generalized release. Rows are grouped by their
+// published QI signature while they are scanned, and each distinct published
+// label is stored once, so later checks work per distinct label rather than
+// per row.
+type genRelease struct {
+	rows    []genRow
+	skipped int // data rows present in the file but unreadable
+	groups  int // QI-signature groups, numbered in first-appearance order
+	// groupQI[g*d+j] is the code, in qi[j], of group g's label in QI column j.
+	groupQI []int
+	// qi[j] and sa are the published labels of QI column j and of the
+	// sensitive column, coded in first-appearance order.
+	qi []*table.Attribute
+	sa *table.Attribute
 }
 
-// parseGeneralized reads a generalized release. It returns the parsed rows,
-// whether the structure was sound enough to interpret them (a header mismatch
-// makes column meanings unknowable, so verification stops there), and how
-// many data rows had to be skipped — a skipped row breaks the release/source
-// row alignment, so callers must not run row-aligned fidelity checks then.
-func parseGeneralized(sch *table.Schema, release io.Reader, rep *reporter) (rows []genRow, ok bool, skipped int, err error) {
-	cr := csv.NewReader(release)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, false, 0, readFailure(err, rep, "release has no header")
+// genRow is one parsed data row of a generalized release.
+type genRow struct {
+	idx   int // 0-based data-row index in the release file
+	group int // QI-signature group
+	sa    int // code of the published sensitive label in genRelease.sa
+}
+
+// parseGeneralized reads a generalized release. It returns the parsed release
+// and whether the structure was sound enough to interpret it (a header
+// mismatch makes column meanings unknowable, so verification stops there).
+// Skipped rows break the release/source row alignment, so callers must not
+// run row-aligned fidelity checks then. sourceRows, the original table's row
+// count, sizes the row list a faithful release fills.
+//
+// Rows are grouped during the scan into equivalence groups of identical
+// published QI signatures — exactly the groups a linking adversary can
+// distinguish — in first-appearance order. A row's key is its QI fields'
+// unescaped bytes, each prefixed with its length so no separator choice can
+// collide; the key is looked up without allocating, and only a new group's
+// labels are interned.
+func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep *reporter) (rel *genRelease, ok bool, err error) {
+	s := table.NewRecordScanner(release)
+	if _, err := s.Scan(); err != nil {
+		return nil, false, readFailure(err, rep, "release has no header")
 	}
+	header := recordStrings(s)
 	want := append(sch.QINames(), sch.SA().Name())
 	if !slices.Equal(header, want) {
-		rep.add(ViolationSchema, -1, -1,
-			fmt.Sprintf("release header %q does not match the original schema %q", header, want))
-		return nil, false, 0, nil
+		rep.add(ViolationSchema, -1, -1, func() string {
+			return fmt.Sprintf("release header %q does not match the original schema %q", header, want)
+		})
+		return nil, false, nil
 	}
 	d := sch.Dimensions()
+	rel = &genRelease{rows: make([]genRow, 0, sourceRows), qi: make([]*table.Attribute, d), sa: table.NewAttribute(want[d])}
+	for j := range rel.qi {
+		rel.qi[j] = table.NewAttribute(want[j])
+	}
+	groupOf := make(map[string]int)
+	var key []byte
 	for i := 0; ; i++ {
-		rec, err := cr.Read()
+		_, err := s.Scan()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			if !isParseError(err) {
-				return rows, true, skipped, fmt.Errorf("audit: reading release: %w", err)
+				return rel, true, fmt.Errorf("audit: reading release: %w", err)
 			}
 			// Keep reading: one corrupt record must not hide violations in
 			// the rest of the release.
-			skipped++
-			rep.add(ViolationMalformed, -1, i, fmt.Sprintf("release row %d is not parseable CSV: %v", i, err))
+			rel.skipped++
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("release row %d is not parseable CSV: %v", i, err)
+			})
 			continue
 		}
-		if len(rec) != d+1 {
-			skipped++
-			rep.add(ViolationMalformed, -1, i,
-				fmt.Sprintf("release row %d has %d fields, the schema needs %d", i, len(rec), d+1))
+		if n := s.Fields(); n != d+1 {
+			rel.skipped++
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("release row %d has %d fields, the schema needs %d", i, n, d+1)
+			})
 			continue
 		}
-		rows = append(rows, genRow{idx: i, qi: rec[:d:d], sa: rec[d], group: -1})
+		key = key[:0]
+		for j := 0; j < d; j++ {
+			f := s.Field(j)
+			key = binary.AppendUvarint(key, uint64(len(f)))
+			key = append(key, f...)
+		}
+		g, seen := groupOf[string(key)]
+		if !seen {
+			g = rel.groups
+			rel.groups++
+			groupOf[string(key)] = g
+			for j := 0; j < d; j++ {
+				rel.groupQI = append(rel.groupQI, rel.qi[j].EncodeBytes(s.Field(j)))
+			}
+		}
+		rel.rows = append(rel.rows, genRow{idx: i, group: g, sa: rel.sa.EncodeBytes(s.Field(d))})
 	}
-	return rows, true, skipped, nil
+	return rel, true, nil
 }
 
-// groupRows partitions release rows into equivalence groups of identical
-// published QI signatures — exactly the groups a linking adversary can
-// distinguish — in first-appearance order. It assigns genRow.group and
-// returns the groups as release-row-index lists.
-func groupRows(rows []genRow) [][]int {
-	byKey := make(map[string]int)
-	var groups [][]int
-	var key []byte
-	for i := range rows {
-		key = key[:0]
-		for _, lab := range rows[i].qi {
-			// Length-prefix each label so no separator choice can collide.
-			key = strconv.AppendInt(key, int64(len(lab)), 10)
-			key = append(key, ':')
-			key = append(key, lab...)
-		}
-		gi, seen := byKey[string(key)]
-		if !seen {
-			gi = len(groups)
-			byKey[string(key)] = gi
-			groups = append(groups, nil)
-		}
-		rows[i].group = gi
-		groups[gi] = append(groups[gi], i)
+// recordStrings copies the scanner's current record into strings that share
+// one allocation, as encoding/csv's Reader does.
+func recordStrings(s *table.RecordScanner) []string {
+	n := 0
+	for i := 0; i < s.Fields(); i++ {
+		n += len(s.Field(i))
 	}
-	return groups
+	var b strings.Builder
+	b.Grow(n)
+	for i := 0; i < s.Fields(); i++ {
+		b.Write(s.Field(i))
+	}
+	all := b.String()
+	rec := make([]string, s.Fields())
+	for i := range rec {
+		n := len(s.Field(i))
+		rec[i], all = all[:n], all[n:]
+	}
+	return rec
 }
 
 // cellParser interprets published QI labels for one attribute: "*" is a
@@ -239,22 +280,22 @@ type qitRow struct {
 // skipped count reports data rows that were present but unreadable, so the
 // caller's row-count reconciliation sees them.
 func parseQIT(sch *table.Schema, qit io.Reader, rep *reporter) (rows []qitRow, ok bool, skipped int, err error) {
-	cr := csv.NewReader(qit)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
+	s := table.NewRecordScanner(qit)
+	if _, err := s.Scan(); err != nil {
 		return nil, false, 0, readFailure(err, rep, "QIT has no header")
 	}
+	header := recordStrings(s)
 	want := append([]string{"Row"}, sch.QINames()...)
 	want = append(want, "GroupID")
 	if !slices.Equal(header, want) {
-		rep.add(ViolationSchema, -1, -1,
-			fmt.Sprintf("QIT header %q does not match the expected anatomy layout %q", header, want))
+		rep.add(ViolationSchema, -1, -1, func() string {
+			return fmt.Sprintf("QIT header %q does not match the expected anatomy layout %q", header, want)
+		})
 		return nil, false, 0, nil
 	}
 	d := sch.Dimensions()
 	for i := 0; ; i++ {
-		rec, err := cr.Read()
+		_, err := s.Scan()
 		if err == io.EOF {
 			break
 		}
@@ -263,21 +304,26 @@ func parseQIT(sch *table.Schema, qit io.Reader, rep *reporter) (rows []qitRow, o
 				return rows, true, skipped, fmt.Errorf("audit: reading QIT: %w", err)
 			}
 			skipped++
-			rep.add(ViolationMalformed, -1, i, fmt.Sprintf("QIT row %d is not parseable CSV: %v", i, err))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("QIT row %d is not parseable CSV: %v", i, err)
+			})
 			continue
 		}
+		rec := recordStrings(s)
 		if len(rec) != d+2 {
 			skipped++
-			rep.add(ViolationMalformed, -1, i,
-				fmt.Sprintf("QIT row %d has %d fields, the layout needs %d", i, len(rec), d+2))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("QIT row %d has %d fields, the layout needs %d", i, len(rec), d+2)
+			})
 			continue
 		}
 		rowID, err1 := strconv.Atoi(rec[0])
 		gid, err2 := strconv.Atoi(rec[d+1])
 		if err1 != nil || err2 != nil {
 			skipped++
-			rep.add(ViolationMalformed, -1, i,
-				fmt.Sprintf("QIT row %d has non-integer Row %q or GroupID %q", i, rec[0], rec[d+1]))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("QIT row %d has non-integer Row %q or GroupID %q", i, rec[0], rec[d+1])
+			})
 			continue
 		}
 		rows = append(rows, qitRow{idx: i, row: rowID, qi: rec[1 : d+1 : d+1], gid: gid})
@@ -295,20 +341,20 @@ type stEntry struct {
 
 // parseST reads anatomy's sensitive table (GroupID, SA, Count).
 func parseST(sch *table.Schema, st io.Reader, rep *reporter) (entries []stEntry, ok bool, err error) {
-	cr := csv.NewReader(st)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
+	s := table.NewRecordScanner(st)
+	if _, err := s.Scan(); err != nil {
 		return nil, false, readFailure(err, rep, "ST has no header")
 	}
+	header := recordStrings(s)
 	want := []string{"GroupID", sch.SA().Name(), "Count"}
 	if !slices.Equal(header, want) {
-		rep.add(ViolationSchema, -1, -1,
-			fmt.Sprintf("ST header %q does not match the expected anatomy layout %q", header, want))
+		rep.add(ViolationSchema, -1, -1, func() string {
+			return fmt.Sprintf("ST header %q does not match the expected anatomy layout %q", header, want)
+		})
 		return nil, false, nil
 	}
 	for i := 0; ; i++ {
-		rec, err := cr.Read()
+		_, err := s.Scan()
 		if err == io.EOF {
 			break
 		}
@@ -316,24 +362,30 @@ func parseST(sch *table.Schema, st io.Reader, rep *reporter) (entries []stEntry,
 			if !isParseError(err) {
 				return entries, true, fmt.Errorf("audit: reading ST: %w", err)
 			}
-			rep.add(ViolationMalformed, -1, i, fmt.Sprintf("ST row %d is not parseable CSV: %v", i, err))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("ST row %d is not parseable CSV: %v", i, err)
+			})
 			continue
 		}
+		rec := recordStrings(s)
 		if len(rec) != 3 {
-			rep.add(ViolationMalformed, -1, i,
-				fmt.Sprintf("ST row %d has %d fields, the layout needs 3", i, len(rec)))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("ST row %d has %d fields, the layout needs 3", i, len(rec))
+			})
 			continue
 		}
 		gid, err1 := strconv.Atoi(rec[0])
 		count, err2 := strconv.Atoi(rec[2])
 		if err1 != nil || err2 != nil {
-			rep.add(ViolationMalformed, -1, i,
-				fmt.Sprintf("ST row %d has non-integer GroupID %q or Count %q", i, rec[0], rec[2]))
+			rep.add(ViolationMalformed, -1, i, func() string {
+				return fmt.Sprintf("ST row %d has non-integer GroupID %q or Count %q", i, rec[0], rec[2])
+			})
 			continue
 		}
 		if count < 1 {
-			rep.add(ViolationMalformed, gid, i,
-				fmt.Sprintf("ST row %d publishes non-positive count %d", i, count))
+			rep.add(ViolationMalformed, gid, i, func() string {
+				return fmt.Sprintf("ST row %d publishes non-positive count %d", i, count)
+			})
 			continue
 		}
 		entries = append(entries, stEntry{idx: i, gid: gid, label: rec[1], count: count})
@@ -341,7 +393,7 @@ func parseST(sch *table.Schema, st io.Reader, rep *reporter) (entries []stEntry,
 	return entries, true, nil
 }
 
-// isParseError reports whether a csv.Reader error is a syntax problem in the
+// isParseError reports whether a scanner error is a syntax problem in the
 // input (a content violation) rather than a real I/O failure.
 func isParseError(err error) bool {
 	var perr *csv.ParseError
@@ -354,11 +406,15 @@ func isParseError(err error) bool {
 // one corrupt record does not end the audit.
 func readFailure(err error, rep *reporter, context string) error {
 	if err == io.EOF {
-		rep.add(ViolationMalformed, -1, -1, context+": unexpected end of input")
+		rep.add(ViolationMalformed, -1, -1, func() string {
+			return context + ": unexpected end of input"
+		})
 		return nil
 	}
 	if isParseError(err) {
-		rep.add(ViolationMalformed, -1, -1, fmt.Sprintf("%s: %v", context, err))
+		rep.add(ViolationMalformed, -1, -1, func() string {
+			return fmt.Sprintf("%s: %v", context, err)
+		})
 		return nil
 	}
 	return fmt.Errorf("audit: reading release: %w", err)

@@ -178,8 +178,10 @@ var privacyKinds = map[ViolationKind]bool{
 	ViolationRecursive: true,
 }
 
-// add records a violation, subject to the recording cap.
-func (r *reporter) add(kind ViolationKind, group, row int, message string) {
+// add records a violation, subject to the recording cap. The message is
+// built only for a violation that is recorded, so a release with far more
+// violations than the cap costs no formatting past it.
+func (r *reporter) add(kind ViolationKind, group, row int, message func() string) {
 	r.report.ViolationCount++
 	if privacyKinds[kind] {
 		r.privacy++
@@ -190,7 +192,7 @@ func (r *reporter) add(kind ViolationKind, group, row int, message string) {
 		r.report.Truncated = true
 		return
 	}
-	r.report.Violations = append(r.report.Violations, Violation{Kind: kind, Group: group, Row: row, Message: message})
+	r.report.Violations = append(r.report.Violations, Violation{Kind: kind, Group: group, Row: row, Message: message()})
 }
 
 // finish computes the summary verdicts and returns the report.

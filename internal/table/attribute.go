@@ -78,9 +78,9 @@ func (a *Attribute) Encode(label string) int {
 	return c
 }
 
-// encodeBytes is Encode for a label held in a byte slice. The lookup does not
+// EncodeBytes is Encode for a label held in a byte slice. The lookup does not
 // allocate; only a label new to the domain is copied into a string.
-func (a *Attribute) encodeBytes(b []byte) int {
+func (a *Attribute) EncodeBytes(b []byte) int {
 	if c, ok := a.codes[string(b)]; ok {
 		return c
 	}

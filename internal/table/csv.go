@@ -15,13 +15,13 @@ import (
 // once. Every value is treated as a categorical label. Errors name the
 // physical line on which the offending record starts.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
-	s := newCSVScanner(r)
-	if _, err := s.scan(); err != nil {
+	s := NewRecordScanner(r)
+	if _, err := s.Scan(); err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
-	colIdx := make(map[string]int, s.fields())
-	for i := 0; i < s.fields(); i++ {
-		name := string(s.field(i))
+	colIdx := make(map[string]int, s.Fields())
+	for i := 0; i < s.Fields(); i++ {
+		name := string(s.Field(i))
 		if _, dup := colIdx[name]; dup {
 			colIdx[name] = -1 // ambiguous: selecting it is an error
 		} else {
@@ -63,14 +63,14 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 	t := New(schema)
 	codes := make([]int, len(qiColumns))
 	for {
-		line, err := s.scan()
+		line, err := s.Scan()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("table: reading CSV line %d: %w", line, err)
 		}
-		if n := s.fields(); n < need {
+		if n := s.Fields(); n < need {
 			for _, idx := range append(qiIdx, saIdx) {
 				if idx >= n {
 					return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, n, idx+1)
@@ -78,21 +78,23 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 			}
 		}
 		for i, idx := range qiIdx {
-			codes[i] = qiAttrs[i].encodeBytes(s.field(idx))
+			codes[i] = qiAttrs[i].EncodeBytes(s.Field(idx))
 		}
-		t.push(codes, sa.encodeBytes(s.field(saIdx)))
+		t.push(codes, sa.EncodeBytes(s.Field(saIdx)))
 	}
 	return t, nil
 }
 
-// csvScanner reads CSV records the way encoding/csv's Reader does with the
-// settings ReadCSV needs fixed in place: comma ',', no comment lines, strict
-// quotes and a variable field count. CRLF is read as LF, blank lines are
-// skipped, a trailing '\r' before EOF is dropped, and a quoted field may span
-// lines. It is a port of the Reader's readLine and readRecord that hands
-// back each record as byte ranges in one reused buffer instead of a fresh
-// []string, and its syntax errors are the same *csv.ParseError values.
-type csvScanner struct {
+// RecordScanner reads CSV records the way encoding/csv's Reader does with
+// comma ',', no comment lines, strict quotes and a variable field count fixed
+// in place. CRLF is read as LF, blank lines are skipped, a trailing '\r'
+// before EOF is dropped, and a quoted field may span lines. It is a port of
+// the Reader's readLine and readRecord that hands back each record as byte
+// ranges in one reused buffer instead of a fresh []string, and its syntax
+// errors are the same *csv.ParseError values. Like the Reader, it can keep
+// scanning after a syntax error: the next Scan starts on the line after the
+// one the error was found on.
+type RecordScanner struct {
 	r       *bufio.Reader
 	numLine int    // physical lines read so far
 	raw     []byte // joins a line longer than the bufio buffer
@@ -100,16 +102,17 @@ type csvScanner struct {
 	ends    []int  // ends[i] is the end offset of field i in record
 }
 
-func newCSVScanner(r io.Reader) *csvScanner {
-	return &csvScanner{r: bufio.NewReader(r)}
+// NewRecordScanner returns a scanner reading records from r.
+func NewRecordScanner(r io.Reader) *RecordScanner {
+	return &RecordScanner{r: bufio.NewReader(r)}
 }
 
-// fields returns the number of fields in the last record scanned.
-func (s *csvScanner) fields() int { return len(s.ends) }
+// Fields returns the number of fields in the last record scanned.
+func (s *RecordScanner) Fields() int { return len(s.ends) }
 
-// field returns field i of the last record scanned. The bytes are only valid
-// until the next call to scan.
-func (s *csvScanner) field(i int) []byte {
+// Field returns field i of the last record scanned. The bytes are only valid
+// until the next call to Scan.
+func (s *RecordScanner) Field(i int) []byte {
 	start := 0
 	if i > 0 {
 		start = s.ends[i-1]
@@ -120,7 +123,7 @@ func (s *csvScanner) field(i int) []byte {
 // readLine reads the next line with its trailing newline, which is omitted
 // at EOF. If some bytes were read the error is never io.EOF. The line is only
 // valid until the next call.
-func (s *csvScanner) readLine() ([]byte, error) {
+func (s *RecordScanner) readLine() ([]byte, error) {
 	line, err := s.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		s.raw = append(s.raw[:0], line...)
@@ -152,10 +155,10 @@ func lengthNL(b []byte) int {
 	return 0
 }
 
-// scan reads the next record and returns the physical line it starts on. It
+// Scan reads the next record and returns the physical line it starts on. It
 // returns io.EOF when no record is left. On any other error the record is
 // incomplete and must not be used.
-func (s *csvScanner) scan() (int, error) {
+func (s *RecordScanner) Scan() (int, error) {
 	line, errRead := s.readLine()
 	for errRead == nil && len(line) == lengthNL(line) {
 		line, errRead = s.readLine() // skip empty lines

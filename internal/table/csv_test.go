@@ -214,6 +214,72 @@ func FuzzReadCSVDifferential(f *testing.F) {
 	})
 }
 
+// scannerStreamSeeds put a syntax error in the middle of a record stream,
+// so the records after it must come out of both readers the same way.
+var scannerStreamSeeds = []string{
+	"A,B,S\n1,2,x\n\"a\"b,2,x\n3,4,y\n",         // bad quote mid-stream
+	"A,B,S\n1,a\"b,x\n\n3,4,y\r\n5,6,z\n",       // bare quote mid-stream
+	"A,B,S\n1,\"x\ny\"z,s\n3,4,y\n\"ok\",5,6\n", // bad quote inside a multi-line field
+	"A,B,S\n1,2,x\n\"a\nb\"\"c,2,x\n3,4\n",      // escaped quote then a missing close
+	"A,B,S\n1,2,x\n3,\"4\n5,6,z\n",              // EOF inside a quote after good records
+	"1,a\"b\n\"c\"d\n\"e\n",                     // every record broken
+}
+
+// FuzzRecordScannerDifferential checks the record scanner against
+// encoding/csv's Reader with a variable field count over a whole stream:
+// every Scan must return the Reader's fields, or its error text, with the
+// same start line, and both must keep going after a *csv.ParseError until
+// they reach EOF together.
+func FuzzRecordScannerDifferential(f *testing.F) {
+	for _, s := range slices.Concat(readCSVSeeds, differentialSeeds, scannerStreamSeeds) {
+		f.Add([]byte(s))
+	}
+	for _, b := range fuzzCorpus(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewRecordScanner(bytes.NewReader(data))
+		cr := csv.NewReader(bytes.NewReader(data))
+		cr.FieldsPerRecord = -1
+		for n := 0; ; n++ {
+			if n > len(data)+1 {
+				t.Fatalf("no EOF after %d records", n)
+			}
+			line, err := s.Scan()
+			rec, want := cr.Read()
+			if want == io.EOF || err == io.EOF {
+				if err != want {
+					t.Fatalf("record %d: scanner %v, encoding/csv %v", n, err, want)
+				}
+				return
+			}
+			if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+				t.Fatalf("record %d: scanner error %v, encoding/csv error %v", n, err, want)
+			}
+			var perr *csv.ParseError
+			if errors.As(want, &perr) {
+				if line != perr.StartLine {
+					t.Fatalf("record %d: scanner starts on line %d, encoding/csv on %d", n, line, perr.StartLine)
+				}
+				continue
+			}
+			if want != nil {
+				t.Fatalf("record %d: unexpected encoding/csv error %v", n, want)
+			}
+			if wantLine, _ := cr.FieldPos(0); line != wantLine {
+				t.Fatalf("record %d: scanner starts on line %d, encoding/csv on %d", n, line, wantLine)
+			}
+			got := make([]string, s.Fields())
+			for i := range got {
+				got[i] = string(s.Field(i))
+			}
+			if !slices.Equal(got, rec) {
+				t.Fatalf("record %d: scanner %q, encoding/csv %q", n, got, rec)
+			}
+		}
+	})
+}
+
 func TestReadCSVLineNumbers(t *testing.T) {
 	tests := []struct {
 		name, in, want string
