@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks whose before/after numbers EXPERIMENTS.md tracks.
-CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkWriteGeneralizedCSV|BenchmarkVerifyGeneralized
+CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkTPWide|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkWriteGeneralizedCSV|BenchmarkVerifyGeneralized
 
 # Benchmarks of the columnar table core: the data-model primitives
 # (append/sample/subset/project), the grouping primitive every TP run starts
@@ -96,7 +96,8 @@ vet:
 
 # lint runs ldivlint, the repo's own analyzer suite (internal/lint): detrange
 # (map-iteration/wall-clock determinism in release-producing packages),
-# viewsafety (mutating or retaining zero-copy table views), narrowconv
+# viewsafety (mutating or retaining zero-copy table views, or writing into
+# the shared GroupByQI grouping), narrowconv
 # (unguarded narrowing of count-carrying integers) and poolcheck (dropped
 # TrySubmit verdicts, unclosed queues). Nonzero on any diagnostic.
 lint:

@@ -448,15 +448,27 @@ func BenchmarkTableOps(b *testing.B) {
 	})
 }
 
+// freshTable returns an ungrouped copy of t, made with the timer stopped.
+// GroupByQI is memoized on the table, so a benchmark that grouped (or
+// anonymized) the same table every iteration would time a memo hit from the
+// second iteration on.
+func freshTable(b *testing.B, t *ldiv.Table) *ldiv.Table {
+	b.StopTimer()
+	c := t.Clone()
+	b.StartTimer()
+	return c
+}
+
 // BenchmarkGroupByQI compares the interned-key grouping that TP runs on every
 // anonymization against the string-key baseline it replaced (see
-// EXPERIMENTS.md for recorded numbers).
+// EXPERIMENTS.md for recorded numbers). Each interned iteration groups a
+// fresh copy of the table, so it times the grouping and not the memo.
 func BenchmarkGroupByQI(b *testing.B) {
 	_, sal4 := setupBench(b)
 	b.Run("interned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if g := sal4.GroupByQI(); len(g) == 0 {
+			if g := freshTable(b, sal4).GroupByQI(); len(g) == 0 {
 				b.Fatal("empty grouping")
 			}
 		}
@@ -476,7 +488,9 @@ func BenchmarkGroupByQI(b *testing.B) {
 // over a 10k-row synthetic table (see experiment.BenchTable). Allocation
 // counts are reported because the flat core's headline win is replacing the
 // map-based inverted lists with dense arrays; EXPERIMENTS.md records the
-// before/after numbers against the retained map-based reference.
+// before/after numbers against the retained map-based reference. Each
+// iteration anonymizes a fresh copy of the table, so the grouping TP starts
+// with is timed too.
 func BenchmarkAnonymize(b *testing.B) {
 	for _, l := range []int{2, 6, 10} {
 		for _, skew := range []string{"uniform", "zipf"} {
@@ -485,7 +499,7 @@ func BenchmarkAnonymize(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ldiv.TP(tbl, l); err != nil {
+					if _, err := ldiv.TP(freshTable(b, tbl), l); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -498,7 +512,7 @@ func BenchmarkAnonymize(b *testing.B) {
 // (see experiment.Phase3HeavyTable) with phase two disabled, so the cost of
 // the greedy-cover rounds — the code the inverted group index accelerates —
 // is visible in isolation rather than amortized away by the phase-1/2 exits
-// of census-like data.
+// of census-like data. Each iteration anonymizes a fresh copy of the table.
 func BenchmarkPhase3Heavy(b *testing.B) {
 	const l = 6
 	tbl := experiment.Phase3HeavyTable(l, 40, 60)
@@ -513,18 +527,20 @@ func BenchmarkPhase3Heavy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := anon.Anonymize(tbl); err != nil {
+		if _, err := anon.Anonymize(freshTable(b, tbl)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(res.Phase3Rounds), "phase3-rounds")
 }
 
+// BenchmarkTPOnSAL4 and BenchmarkTPPlusOnSAL4 anonymize a fresh copy of
+// SAL-4 each iteration, grouping included.
 func BenchmarkTPOnSAL4(b *testing.B) {
 	_, sal4 := setupBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ldiv.TP(sal4, 6); err != nil {
+		if _, err := ldiv.TP(freshTable(b, sal4), 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -534,7 +550,7 @@ func BenchmarkTPPlusOnSAL4(b *testing.B) {
 	_, sal4 := setupBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ldiv.TPPlus(sal4, 6); err != nil {
+		if _, err := ldiv.TPPlus(freshTable(b, sal4), 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -690,6 +706,29 @@ func BenchmarkReadCSV(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := ldiv.ReadCSV(bytes.NewReader(in), dataset.QINames, "Income"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTPWide measures the TP core on the publish-wide shape (100k SAL
+// rows over all seven QI attributes, read from CSV, l=4): the stage perfbench
+// traces as core.tp_ms. Each iteration starts from a fresh copy of the table
+// and groups it with the timer stopped, as the pipeline does before TP.
+func BenchmarkTPWide(b *testing.B) {
+	in, _ := wideCSV(b)
+	src, err := ldiv.ReadCSV(bytes.NewReader(in), dataset.QINames, "Income")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t := src.Clone()
+		groups := t.GroupByQI()
+		b.StartTimer()
+		if _, err := (&core.Anonymizer{L: 4}).AnonymizeGroups(t, groups); err != nil {
 			b.Fatal(err)
 		}
 	}

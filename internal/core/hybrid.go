@@ -14,7 +14,7 @@ import (
 type Refiner interface {
 	// PartitionRows partitions the given row indices of t into groups, each
 	// of which must be l-eligible. Every input row must appear in exactly one
-	// output group.
+	// output group. rows is the result's Residue and must not be modified.
 	PartitionRows(t *table.Table, rows []int, l int) ([][]int, error)
 }
 
@@ -69,17 +69,20 @@ func (h *HybridAnonymizer) refine(t *table.Table, res *Result) (*Result, error) 
 	if err := validateResiduePartition(t, res.Residue, groups, h.L); err != nil {
 		return res, fmt.Errorf("core: refiner returned an invalid residue partition, keeping single residue group: %w", err)
 	}
-	refined := *res
-	refined.ResidueGroups = make([][]int, 0, len(groups))
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
+	// Order the refined groups as result orders kept groups: by first row,
+	// rows ascending, read off an owner array in one sweep.
+	owner := make([]int32, t.Len())
+	sizes := make([]int, len(groups))
+	id := int32(0) // 1 + the index of the group being marked
+	for g, rows := range groups {
+		sizes[g] = len(rows)
+		id++
+		for _, r := range rows {
+			owner[r] = id
 		}
-		cp := make([]int, len(g))
-		copy(cp, g)
-		refined.ResidueGroups = append(refined.ResidueGroups, cp)
 	}
-	refined.normalize()
+	refined := *res
+	refined.ResidueGroups, _ = assemble(owner, sizes, 0)
 	return &refined, nil
 }
 

@@ -2,11 +2,45 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ldiv/internal/table"
 )
+
+// Allocating views of a multiset that only tests read; the phases iterate
+// vals/cnt directly or snapshot with appendPillars.
+
+// pillars returns the sensitive values at pillar height, ascending.
+func (m *saMultiset) pillars() []int { return m.appendPillars(nil) }
+
+// values returns the distinct sensitive values present, ascending.
+func (m *saMultiset) values() []int {
+	var out []int
+	for _, v := range m.vals {
+		if m.cnt[v] > 0 {
+			out = append(out, int(v))
+		}
+	}
+	return out
+}
+
+// allRows returns every row index currently in the multiset, grouped by
+// ascending sensitive value, preserving insertion order within a value.
+func (m *saMultiset) allRows() []int {
+	out := make([]int, 0, m.size)
+	for i, v := range m.vals {
+		if m.cnt[v] == 0 {
+			continue
+		}
+		for _, r := range m.rows[i] {
+			out = append(out, int(r))
+		}
+	}
+	return out
+}
 
 func TestSAMultisetBasics(t *testing.T) {
 	m := newSAMultiset(8)
@@ -43,6 +77,38 @@ func TestSAMultisetBasics(t *testing.T) {
 	}
 	if !m.eligible(2) {
 		t.Error("2 rows with distinct values should be 2-eligible")
+	}
+}
+
+// TestSAMultisetAddAllMatchesAdd checks the bulk add against the same rows
+// added one at a time, into a multiset that already holds rows.
+func TestSAMultisetAddAllMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		const domain = 12
+		sa := make([]int, 60)
+		for r := range sa {
+			sa[r] = rng.Intn(domain)
+		}
+		bulk, one := newSAMultiset(domain), newSAMultiset(domain)
+		pre := rng.Intn(20)
+		for r := 0; r < pre; r++ {
+			bulk.add(sa[r], r)
+			one.add(sa[r], r)
+		}
+		rows := rng.Perm(len(sa) - pre)
+		for i := range rows {
+			rows[i] += pre
+		}
+		bulk.addAll(slices.Values(rows), sa)
+		for _, r := range rows {
+			one.add(sa[r], r)
+		}
+		if bulk.size != one.size || bulk.maxH != one.maxH ||
+			!reflect.DeepEqual(bulk.cnt, one.cnt) || !reflect.DeepEqual(bulk.vals, one.vals) ||
+			!reflect.DeepEqual(bulk.rows, one.rows) || !slices.Equal(bulk.heightCnt, one.heightCnt) {
+			t.Fatalf("trial %d: bulk add differs from sequential adds", trial)
+		}
 	}
 }
 

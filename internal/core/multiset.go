@@ -6,6 +6,7 @@
 package core
 
 import (
+	"iter"
 	"slices"
 
 	"ldiv/internal/parallel"
@@ -77,24 +78,59 @@ func (m *saMultiset) shiftHeight(from, to int) {
 	}
 }
 
-// add inserts row with sensitive value v.
-func (m *saMultiset) add(v, row int) {
+// locate returns the position of v in vals, inserting v with an empty row
+// stack at its sorted position if it was never present.
+func (m *saMultiset) locate(v int) int {
 	i, ok := m.valIndex(int32(v))
 	if !ok {
-		m.vals = append(m.vals, 0)
-		copy(m.vals[i+1:], m.vals[i:])
-		m.vals[i] = int32(v)
-		m.rows = append(m.rows, nil)
-		copy(m.rows[i+1:], m.rows[i:])
-		m.rows[i] = nil
+		m.vals = slices.Insert(m.vals, i, int32(v))
+		m.rows = slices.Insert(m.rows, i, nil)
 	}
+	return i
+}
+
+// raise counts c more rows carrying value v: multiplicity, height bucket,
+// size and pillar pointer.
+func (m *saMultiset) raise(v int, c int32) {
+	old := m.cnt[v]
+	m.cnt[v] += c
+	m.shiftHeight(int(old), int(old+c))
+	m.size += int(c)
+	if int(old+c) > m.maxH {
+		m.maxH = int(old + c)
+	}
+}
+
+// add inserts row with sensitive value v.
+func (m *saMultiset) add(v, row int) {
+	i := m.locate(v)
 	m.rows[i] = append(m.rows[i], int32(row))
-	old := int(m.cnt[v])
-	m.cnt[v]++
-	m.shiftHeight(old, old+1)
-	m.size++
-	if old+1 > m.maxH {
-		m.maxH = old + 1
+	m.raise(v, 1)
+}
+
+// addAll inserts every row that rows yields, row r carrying SA code sa[r],
+// and ends in the state the same sequence of add calls reaches. It locates
+// each distinct value, sizes its row stack and moves its height once rather
+// than once per row. rows is iterated twice.
+func (m *saMultiset) addAll(rows iter.Seq[int], sa []int) {
+	// per[v] counts the rows of value v to add, then holds v's position.
+	per := make([]int32, len(m.cnt))
+	for r := range rows {
+		per[sa[r]]++
+	}
+	for v, c := range per {
+		if c > 0 {
+			i := m.locate(v)
+			m.rows[i] = slices.Grow(m.rows[i], int(c))
+			m.raise(v, c)
+		}
+	}
+	for i, v := range m.vals {
+		per[v] = int32(i)
+	}
+	for r := range rows {
+		i := per[sa[r]]
+		m.rows[i] = append(m.rows[i], int32(r))
 	}
 }
 
@@ -169,46 +205,6 @@ func (m *saMultiset) appendPillars(buf []int) []int {
 	return buf
 }
 
-// appendValues appends the distinct sensitive values present to buf in
-// ascending order and returns the extended slice.
-func (m *saMultiset) appendValues(buf []int) []int {
-	for _, v := range m.vals {
-		if m.cnt[v] > 0 {
-			buf = append(buf, int(v))
-		}
-	}
-	return buf
-}
-
-// pillars returns the sensitive values at pillar height, in ascending order
-// for determinism. The result is empty for an empty multiset. It allocates
-// per call and is kept for tests and cold paths; hot paths use appendPillars
-// or iterate vals/cnt directly.
-func (m *saMultiset) pillars() []int {
-	return m.appendPillars(nil)
-}
-
-// values returns the distinct sensitive values present, in ascending order.
-// Like pillars, it is the allocating convenience form of appendValues.
-func (m *saMultiset) values() []int {
-	return m.appendValues(nil)
-}
-
-// allRows returns every row index currently in the multiset, grouped by
-// ascending sensitive value, preserving insertion order within a value.
-func (m *saMultiset) allRows() []int {
-	out := make([]int, 0, m.size)
-	for i, v := range m.vals {
-		if m.cnt[v] == 0 {
-			continue
-		}
-		for _, r := range m.rows[i] {
-			out = append(out, int(r))
-		}
-	}
-	return out
-}
-
 // multisetChunkMin is the smallest number of groups worth handing to one
 // worker in buildGroupMultisets: below it, goroutine handoff and the per-chunk
 // domain-sized scratch cost more than the build itself.
@@ -244,6 +240,13 @@ func chunkBounds(n, workers, minChunk int) []int {
 // sa maps a row index to its SA code (the table's dense SAView, so the
 // per-row lookup is one array load).
 //
+// Groups with fewer than minSize rows are not built: they all get one
+// shared, empty multiset over the whole SA domain, and the count arena is
+// sized for the built groups only. TP passes minSize = l,
+// because phase one empties every group below l anyway (see phaseOne). The
+// shared multiset is never written: nothing adds rows to a group multiset,
+// and removeOne panics on an empty one before touching it.
+//
 // The build is two passes over contiguous group chunks, fanned across at most
 // `workers` goroutines (parallel.Run; workers <= 1 or a single chunk runs
 // inline). Pass one counts each group's histogram and measures its distinct
@@ -251,24 +254,41 @@ func chunkBounds(n, workers, minChunk int) []int {
 // arena windows, so pass two can fill values, row stacks, and height buckets
 // with no cross-chunk coordination. Each group's output depends only on its
 // own rows, so the result is identical at every worker count.
-func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*saMultiset {
+func buildGroupMultisets(groups [][]int, domain int, sa []int, minSize, workers int) []*saMultiset {
 	n := len(groups)
 	out := make([]*saMultiset, n)
 	if n == 0 {
 		return out
 	}
-	structs := make([]saMultiset, n)
-	cntArena := make([]int32, n*domain)
-	distinct := make([]int32, n)
-	maxC := make([]int32, n)
+	// slot[gi] is group gi's index in the built-group arenas, -1 if skipped.
+	slot := make([]int32, n)
+	built := 0
+	for gi, g := range groups {
+		if len(g) < minSize {
+			slot[gi] = -1
+			continue
+		}
+		slot[gi] = int32(built)
+		built++
+	}
+	empty := newSAMultiset(domain)
+	structs := make([]saMultiset, built)
+	cntArena := make([]int32, built*domain)
+	distinct := make([]int32, built)
+	maxC := make([]int32, built)
 	bounds := chunkBounds(n, workers, multisetChunkMin)
 	chunks := len(bounds) - 1
 
 	// Pass 1: count histograms, measure distinct values and pillar heights.
 	err := parallel.Run(workers, chunks, func(ci int) error {
 		for gi := bounds[ci]; gi < bounds[ci+1]; gi++ {
-			m := &structs[gi]
-			m.cnt = cntArena[gi*domain : (gi+1)*domain : (gi+1)*domain]
+			si := int(slot[gi])
+			if si < 0 {
+				out[gi] = empty
+				continue
+			}
+			m := &structs[si]
+			m.cnt = cntArena[si*domain : (si+1)*domain : (si+1)*domain]
 			d, mx := int32(0), int32(0)
 			for _, r := range groups[gi] {
 				v := sa[r]
@@ -280,7 +300,7 @@ func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*s
 					mx = m.cnt[v]
 				}
 			}
-			distinct[gi], maxC[gi] = d, mx
+			distinct[si], maxC[si] = d, mx
 		}
 		return nil
 	})
@@ -288,17 +308,20 @@ func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*s
 		panic(err) // only task panics reach here; re-raise them
 	}
 
-	// Serial prefix sums fix each group's windows in the shared arenas.
+	// Serial prefix sums fix each built group's windows in the shared arenas.
 	totalDistinct, totalHeights, totalRows := 0, 0, 0
-	valsBase := make([]int, n)
-	heightBase := make([]int, n)
-	rowBase := make([]int, n)
-	for gi := range groups {
-		valsBase[gi] = totalDistinct
-		heightBase[gi] = totalHeights
-		rowBase[gi] = totalRows
-		totalDistinct += int(distinct[gi])
-		totalHeights += int(maxC[gi]) + 1
+	valsBase := make([]int, built)
+	heightBase := make([]int, built)
+	rowBase := make([]int, built)
+	for gi, si := range slot {
+		if si < 0 {
+			continue
+		}
+		valsBase[si] = totalDistinct
+		heightBase[si] = totalHeights
+		rowBase[si] = totalRows
+		totalDistinct += int(distinct[si])
+		totalHeights += int(maxC[si]) + 1
 		totalRows += len(groups[gi])
 	}
 	valsArena := make([]int32, totalDistinct)
@@ -317,9 +340,13 @@ func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*s
 			pos[i] = -1
 		}
 		for gi := bounds[ci]; gi < bounds[ci+1]; gi++ {
-			m := &structs[gi]
+			si := int(slot[gi])
+			if si < 0 {
+				continue
+			}
+			m := &structs[si]
 			g := groups[gi]
-			vb, d := valsBase[gi], int(distinct[gi])
+			vb, d := valsBase[si], int(distinct[si])
 			vals := valsArena[vb : vb : vb+d]
 			for _, r := range g {
 				v := sa[r]
@@ -330,10 +357,10 @@ func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*s
 			}
 			slices.Sort(vals)
 			m.vals = vals
-			hn := int(maxC[gi]) + 1
-			m.heightCnt = heightArena[heightBase[gi] : heightBase[gi]+hn : heightBase[gi]+hn]
+			hn := int(maxC[si]) + 1
+			m.heightCnt = heightArena[heightBase[si] : heightBase[si]+hn : heightBase[si]+hn]
 			m.rows = hdrArena[vb : vb+d : vb+d]
-			base := rowBase[gi]
+			base := rowBase[si]
 			for i, v := range vals {
 				c := int(m.cnt[v])
 				// A zero-length, capacity-c window: the fill loop below
@@ -351,7 +378,7 @@ func buildGroupMultisets(groups [][]int, domain int, sa []int, workers int) []*s
 				pos[v] = -1
 			}
 			m.size = len(g)
-			m.maxH = int(maxC[gi])
+			m.maxH = int(maxC[si])
 			out[gi] = m
 		}
 		return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -55,9 +56,9 @@ func TestBuildGroupMultisetsWorkerInvariance(t *testing.T) {
 				row++
 			}
 		}
-		want := buildGroupMultisets(groups, domain, sa, 1)
+		want := buildGroupMultisets(groups, domain, sa, 1, 1)
 		for _, workers := range []int{2, 8} {
-			got := buildGroupMultisets(groups, domain, sa, workers)
+			got := buildGroupMultisets(groups, domain, sa, 1, workers)
 			if len(got) != len(want) {
 				t.Fatalf("nGroups=%d workers=%d: %d multisets, want %d", nGroups, workers, len(got), len(want))
 			}
@@ -90,7 +91,7 @@ func TestBuildGroupMultisetsMatchesIncremental(t *testing.T) {
 			row++
 		}
 	}
-	bulk := buildGroupMultisets(groups, domain, sa, 4)
+	bulk := buildGroupMultisets(groups, domain, sa, 1, 4)
 	for gi, g := range groups {
 		inc := newSAMultiset(domain)
 		for _, r := range g {
@@ -108,6 +109,44 @@ func TestBuildGroupMultisetsMatchesIncremental(t *testing.T) {
 			v := inc.firstPillar()
 			if got, want := b.removeOne(v), inc.removeOne(v); got != want {
 				t.Fatalf("group %d: removeOne(%d) = %d, want %d", gi, v, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildGroupMultisetsSkipsSmallGroups checks the minimum group size:
+// groups below it come back as empty multisets over the whole SA domain, and
+// every other group is built exactly as with no minimum.
+func TestBuildGroupMultisetsSkipsSmallGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const domain, minSize = 9, 4
+	groups := make([][]int, 600)
+	row := 0
+	var sa []int
+	for gi := range groups {
+		k := rng.Intn(8)
+		for j := 0; j < k; j++ {
+			groups[gi] = append(groups[gi], row)
+			sa = append(sa, rng.Intn(domain))
+			row++
+		}
+	}
+	all := buildGroupMultisets(groups, domain, sa, 1, 1)
+	for _, workers := range []int{1, 3} {
+		got := buildGroupMultisets(groups, domain, sa, minSize, workers)
+		for gi, g := range groups {
+			m := got[gi]
+			if len(g) < minSize {
+				if m.size != 0 || m.maxH != 0 || len(m.vals) != 0 || len(m.cnt) != domain || slices.ContainsFunc(m.cnt, func(c int32) bool { return c != 0 }) {
+					t.Fatalf("workers=%d: group %d (%d rows) below the minimum was built", workers, gi, len(g))
+				}
+				continue
+			}
+			w := all[gi]
+			if m.size != w.size || m.maxH != w.maxH ||
+				!reflect.DeepEqual(m.cnt, w.cnt) || !reflect.DeepEqual(m.vals, w.vals) ||
+				!reflect.DeepEqual(m.rows, w.rows) || !reflect.DeepEqual(m.heightCnt, w.heightCnt) {
+				t.Fatalf("workers=%d: group %d differs from the build without a minimum", workers, gi)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"ldiv/internal/generalize"
 	"ldiv/internal/table"
 )
@@ -21,8 +19,9 @@ type Result struct {
 	// whole. In plain TP it is published as a single QI-group; TP+ refines it.
 	Residue []int
 	// ResidueGroups is the partition of the residue used in the published
-	// table. For plain TP it is a single group equal to Residue (or empty if
-	// the residue is empty); TP+ replaces it with the refiner's partition.
+	// table. For plain TP it is a single group, the Residue slice itself (or
+	// empty if the residue is empty); TP+ replaces it with the refiner's
+	// partition.
 	ResidueGroups [][]int
 	// TerminationPhase records the phase (1, 2 or 3) whose termination test
 	// ended the run. Phase 1 termination implies an optimal solution to tuple
@@ -41,12 +40,21 @@ type Result struct {
 func (r *Result) SuppressedTuples() int { return len(r.Residue) }
 
 // Partition returns the published partition: every kept group plus the
-// residue groups.
+// residue groups, empty groups dropped. The partition shares the result's
+// row slices instead of copying them.
 func (r *Result) Partition() *generalize.Partition {
 	groups := make([][]int, 0, len(r.KeptGroups)+len(r.ResidueGroups))
-	groups = append(groups, r.KeptGroups...)
-	groups = append(groups, r.ResidueGroups...)
-	return generalize.NewPartition(groups)
+	for _, g := range r.KeptGroups {
+		if len(g) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	for _, g := range r.ResidueGroups {
+		if len(g) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	return &generalize.Partition{Groups: groups}
 }
 
 // Generalize applies suppression (Definition 1) to the result's partition.
@@ -60,22 +68,46 @@ func (r *Result) Stars(t *table.Table) int {
 	return generalize.StarsForPartition(t, r.Partition())
 }
 
-// normalize sorts groups and rows for deterministic output.
-func (r *Result) normalize() {
-	sort.Ints(r.Residue)
-	for _, g := range r.KeptGroups {
-		sort.Ints(g)
+// residueOwner marks a row of R in an owner array (see assemble).
+const residueOwner = -1
+
+// assemble reads groups back off an owner array in one sweep over the rows.
+// owner[r] is 0 for a row in no group, residueOwner for a row of R, and g+1
+// for a row of group g, which has sizes[g] rows. It returns the groups that
+// own a row, ordered by their first row with their rows ascending, and the
+// rows of R ascending (nR of them; never nil). That is the order sorting
+// each group and then the groups by first row would give, for any input
+// grouping, at O(n) instead of a sort.
+func assemble(owner []int32, sizes []int, nR int) (groups [][]int, residue []int) {
+	total := 0
+	for _, s := range sizes {
+		total += s
 	}
-	sort.Slice(r.KeptGroups, func(i, j int) bool {
-		return r.KeptGroups[i][0] < r.KeptGroups[j][0]
-	})
-	for _, g := range r.ResidueGroups {
-		sort.Ints(g)
+	arena := make([]int, total)
+	// slot[g] is 1 + group g's output index, 0 until its first row is seen.
+	slot := make([]int32, len(sizes))
+	if len(sizes) > 0 {
+		groups = make([][]int, 0, len(sizes))
 	}
-	sort.Slice(r.ResidueGroups, func(i, j int) bool {
-		if len(r.ResidueGroups[i]) == 0 || len(r.ResidueGroups[j]) == 0 {
-			return len(r.ResidueGroups[i]) > len(r.ResidueGroups[j])
+	residue = make([]int, 0, nR)
+	base := 0
+	for r, o := range owner {
+		switch {
+		case o == residueOwner:
+			residue = append(residue, r)
+		case o > 0:
+			g := o - 1
+			s := slot[g]
+			if s == 0 {
+				// Capacity-capped, so an append to one group cannot
+				// bleed into the next.
+				groups = append(groups, arena[base:base:base+sizes[g]])
+				base += sizes[g]
+				s = int32(len(groups))
+				slot[g] = s
+			}
+			groups[s-1] = append(groups[s-1], r)
 		}
-		return r.ResidueGroups[i][0] < r.ResidueGroups[j][0]
-	})
+	}
+	return groups, residue
 }

@@ -122,7 +122,7 @@ func newState(t *table.Table, groups [][]int, l int, workers int) *state {
 	domain := t.SADomainSize()
 	sa := t.SAView()
 	st := &state{t: t, l: l, domain: domain, workers: workers, orig: groups, sa: sa, residue: newSAMultiset(domain), phase: 1}
-	st.groups = buildGroupMultisets(groups, domain, sa, workers)
+	st.groups = buildGroupMultisets(groups, domain, sa, l, workers)
 	return st
 }
 
@@ -167,6 +167,24 @@ func (st *state) dead(gi int) bool { return st.thin(gi) && st.conflicting(gi) }
 
 func (st *state) phaseOne() {
 	st.phase = 1
+	// A non-empty group below l can never satisfy |Q| >= l*h(Q), so shedding
+	// pillars would empty it. buildGroupMultisets left those groups empty;
+	// their rows go to R in one bulk add.
+	small := func(yield func(int) bool) {
+		for _, g := range st.orig {
+			if len(g) >= st.l {
+				continue
+			}
+			for _, r := range g {
+				if !yield(r) {
+					return
+				}
+			}
+		}
+	}
+	before := st.residue.size
+	st.residue.addAll(small, st.sa)
+	st.removedByPhase[1] += st.residue.size - before
 	for gi, q := range st.groups {
 		for !q.eligible(st.l) {
 			// Remove one tuple from a pillar; ties broken by smallest value
@@ -521,53 +539,49 @@ func (st *state) nonPillarValue(gi int) (int, bool) {
 
 // --- Result assembly --------------------------------------------------------
 
-// result assembles the Result from the surviving group contents. Surviving
-// rows are recovered from the original groups rather than the multisets'
-// LIFO stacks: removeOne pops a value's most recently filed rows, so the
-// survivors carrying value v are exactly the first h(Q, v) rows of that value
-// in the group's original order. Walking the original group with a per-value
-// budget therefore emits the survivors in original order directly — no
-// per-group sort — and normalize's sorts then run on already-ordered input
-// for every caller that grouped with GroupByQI.
+// result assembles the Result in one sweep over the rows. Surviving rows are
+// recovered from the original groups rather than the multisets' LIFO stacks:
+// removeOne pops a value's most recently filed rows, so the survivors
+// carrying value v are exactly the first h(Q, v) rows of that value in the
+// group's original order. Each row's owner — a kept group, R, or none — goes
+// into an n-length array, and assemble reads the groups and R back off it in
+// row order.
 func (st *state) result(phase int) *Result {
 	res := &Result{L: st.l, TerminationPhase: phase, Phase3Rounds: st.phase3Rounds, RemovedByPhase: st.removedByPhase}
-	kept, keptRows := 0, 0
+	owner := make([]int32, st.t.Len())
+	kept := 0
 	for _, q := range st.groups {
 		if q.size > 0 {
 			kept++
-			keptRows += q.size
 		}
 	}
-	if kept > 0 {
-		res.KeptGroups = make([][]int, 0, kept)
-	}
-	rowArena := make([]int, 0, keptRows)
+	sizes := make([]int, 0, kept)
 	seen := make([]int32, st.domain)
+	id := int32(0) // owner id of the next kept group: 1 + its index in sizes
 	for gi, q := range st.groups {
 		if q.size == 0 {
 			continue
 		}
-		base := len(rowArena)
-		rows := rowArena[base : base : base+q.size]
+		sizes = append(sizes, q.size)
+		id++
 		for _, r := range st.orig[gi] {
-			v := st.sa[r]
-			if seen[v] < q.cnt[v] {
+			if v := st.sa[r]; seen[v] < q.cnt[v] {
 				seen[v]++
-				rows = append(rows, r)
+				owner[r] = id
 			}
 		}
-		rowArena = rowArena[:base+q.size]
 		for _, v := range q.vals {
 			seen[v] = 0
 		}
-		res.KeptGroups = append(res.KeptGroups, rows)
 	}
-	res.Residue = st.residue.allRows()
+	for _, stack := range st.residue.rows {
+		for _, r := range stack {
+			owner[r] = residueOwner
+		}
+	}
+	res.KeptGroups, res.Residue = assemble(owner, sizes, st.residue.size)
 	if len(res.Residue) > 0 {
-		rg := make([]int, len(res.Residue))
-		copy(rg, res.Residue)
-		res.ResidueGroups = [][]int{rg}
+		res.ResidueGroups = [][]int{res.Residue}
 	}
-	res.normalize()
 	return res
 }

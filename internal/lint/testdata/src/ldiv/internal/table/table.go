@@ -33,3 +33,7 @@ func (t *Table) AppendLabels(qi []string, sa string) error { return nil }
 
 func (t *Table) Col(j int) []int32 { return nil }
 func (t *Table) SAView() []int     { return nil }
+
+// GroupByQI is the memoized grouping every caller shares.
+
+func (t *Table) GroupByQI() [][]int { return nil }

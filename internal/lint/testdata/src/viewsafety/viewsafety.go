@@ -1,9 +1,14 @@
 // Package viewsafety is golden testdata for the viewsafety analyzer:
-// mutation of zero-copy views and retention of borrowed column slices
-// across appends.
+// mutation of zero-copy views, retention of borrowed column slices across
+// appends, and writes into the memoized GroupByQI result.
 package viewsafety
 
-import "ldiv/internal/table"
+import (
+	"slices"
+	"sort"
+
+	"ldiv/internal/table"
+)
 
 // appendToSubset: mutating a view variable.
 func appendToSubset(t *table.Table, rows []int) {
@@ -92,4 +97,70 @@ func useBeforeAppend(t *table.Table) int32 {
 	v := col[0]
 	t.MustAppendRow([]int{1}, 2)
 	return v
+}
+
+// assignIntoGrouping: element writes into the result and into a group.
+func assignIntoGrouping(t *table.Table) {
+	groups := t.GroupByQI()
+	groups[0] = nil         // want `assignment to groups\[0\] writes into a GroupByQI result`
+	groups[1][0] = 7        // want `assignment to groups\[1\]\[0\] writes into a GroupByQI result`
+	t.GroupByQI()[0][0] = 1 // want `assignment to t\.GroupByQI\(\)\[0\]\[0\] writes into a GroupByQI result`
+}
+
+// writeThroughRangedGroup: a ranged group and an indexed group stay tainted,
+// and so does a re-slice of one.
+func writeThroughRangedGroup(t *table.Table) {
+	for _, g := range t.GroupByQI() {
+		g[0]++ // want `assignment to g\[0\] writes into a GroupByQI result`
+	}
+	groups := t.GroupByQI()
+	g := groups[0]
+	tail := g[1:]
+	tail[0] = 3 // want `assignment to tail\[0\] writes into a GroupByQI result`
+}
+
+// sortGrouping: in-place sorts of a group or of the result.
+func sortGrouping(t *table.Table) {
+	groups := t.GroupByQI()
+	for _, g := range groups {
+		sort.Ints(g) // want `sort\.Ints on g writes into a GroupByQI result`
+	}
+	slices.Sort(groups[0])                                                         // want `slices\.Sort on groups\[0\] writes into a GroupByQI result`
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] }) // want `sort\.Slice on groups writes into a GroupByQI result`
+	sort.Sort(sort.IntSlice(groups[1]))                                            // want `sort\.Sort on sort\.IntSlice\(groups\[1\]\) writes into a GroupByQI result`
+}
+
+// appendToGrouping: append to a group or to the result, and copy into one.
+func appendToGrouping(t *table.Table, extra []int) [][]int {
+	groups := t.GroupByQI()
+	_ = append(groups[0], 5)     // want `append to groups\[0\] writes into a GroupByQI result`
+	copy(groups[1], extra)       // want `copy to groups\[1\] writes into a GroupByQI result`
+	return append(groups, extra) // want `append to groups writes into a GroupByQI result`
+}
+
+// copyBeforeWriting: copies are the caller's own, and reads are fine.
+func copyBeforeWriting(t *table.Table) int {
+	groups := t.GroupByQI()
+	rows := append([]int(nil), groups[0]...)
+	sort.Ints(rows)
+	own := slices.Clone(groups[1])
+	own[0] = 4
+	first := groups[0][0]
+	g := groups[2]
+	g = make([]int, 3)
+	g[0] = first
+	return rows[0] + own[0] + g[0]
+}
+
+// declaredGrouping: a var declaration taints like an assignment.
+func declaredGrouping(t *table.Table) {
+	var groups = t.GroupByQI()
+	groups[0] = nil // want `assignment to groups\[0\] writes into a GroupByQI result`
+}
+
+// suppressedGroupingWrite: a justified suppression silences the diagnostic.
+func suppressedGroupingWrite(t *table.Table) {
+	groups := t.GroupByQI()
+	//lint:ignore viewsafety the table is private to this function and never grouped again
+	sort.Ints(groups[0])
 }

@@ -33,13 +33,21 @@ var borrowing = map[string]bool{
 	"SAView": true,
 }
 
+// inPlaceSorts are the sort and slices functions that reorder their first
+// argument in place.
+var inPlaceSorts = map[string]map[string]bool{
+	"sort":   {"Ints": true, "Slice": true, "SliceStable": true, "Sort": true, "Stable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
 // Viewsafety encodes PR 4's invariant 0 for the columnar table core: tables
 // are append-only before publication and read-only after; views share
 // storage and must never be mutated; borrowed column slices do not survive
-// appends.
+// appends; the memoized grouping is shared by every caller and never
+// written.
 var Viewsafety = &analysis.Analyzer{
 	Name: "viewsafety",
-	Doc: `viewsafety: forbid mutating table views and retaining column slices across appends
+	Doc: `viewsafety: forbid mutating table views or the shared grouping, and retaining column slices across appends
 
 table.Subset, Sample, Project, and ProjectNames return zero-copy views that
 share the receiver's column arena, and Col()/SAView() hand out slices aliasing
@@ -50,7 +58,10 @@ it. This analyzer flags, within a function:
     fail at runtime, and Clone is the documented way to rematerialize;
   - uses of a Col()/SAView() slice after an append on the table it was
     borrowed from — growth re-carves the arena, so the slice may alias dead
-    storage.
+    storage;
+  - writes into a GroupByQI() result or any group of it — element
+    assignment, in-place sort.*/slices.Sort*, append, copy into it — since
+    the grouping is memoized on the table and every caller shares it.
 
 The analysis is intra-procedural and flow-approximate; a use the analyzer
 cannot prove safe can be suppressed with //lint:ignore viewsafety <reason>.`,
@@ -62,6 +73,7 @@ func runViewsafety(pass *analysis.Pass) (any, error) {
 		funcBodies(file, func(_ string, body *ast.BlockStmt) {
 			checkViewMutation(pass, body)
 			checkBorrowRetention(pass, body)
+			checkGroupingWrites(pass, body)
 		})
 	}
 	return nil, nil
@@ -243,4 +255,101 @@ func rhsFor(asg *ast.AssignStmt, i int) ast.Expr {
 		return asg.Rhs[0]
 	}
 	return nil
+}
+
+// checkGroupingWrites flags writes into a GroupByQI result. It walks the body
+// in source order, tainting slice variables assigned from (or ranged over) a
+// GroupByQI call or an already tainted slice, clearing the taint on any other
+// assignment, and reports element assignments, in-place sorts, appends and
+// copies whose target is rooted at a tainted variable or at a GroupByQI call
+// itself.
+func checkGroupingWrites(pass *analysis.Pass, body *ast.BlockStmt) {
+	info := pass.TypesInfo
+	tainted := make(map[types.Object]bool)
+	// shared reports whether e (stripped of parens, indexing, slicing and
+	// conversions such as sort.IntSlice(g)) is a GroupByQI call or a tainted
+	// variable.
+	shared := func(e ast.Expr) bool {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.CallExpr:
+				if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
+					e = x.Args[0]
+					continue
+				}
+				_, name, ok := tableMethodCall(info, x)
+				return ok && name == "GroupByQI"
+			case *ast.Ident:
+				return tainted[info.ObjectOf(x)]
+			default:
+				return false
+			}
+		}
+	}
+	taint := func(lhs ast.Expr, from ast.Expr) {
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			return
+		}
+		obj := info.ObjectOf(id)
+		if obj == nil {
+			return
+		}
+		_, isSlice := obj.Type().Underlying().(*types.Slice)
+		if isSlice && from != nil && shared(from) {
+			tainted[obj] = true
+		} else {
+			delete(tainted, obj)
+		}
+	}
+	report := func(pos ast.Node, what string, target ast.Expr) {
+		pass.Reportf(pos.Pos(),
+			"%s %s writes into a GroupByQI result, which the table memoizes and shares with every caller: copy the groups first, or suppress with //lint:ignore viewsafety <reason>",
+			what, types.ExprString(target))
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix, isIndex := ast.Unparen(lhs).(*ast.IndexExpr); isIndex && shared(ix.X) {
+					report(n, "assignment to", lhs)
+				}
+			}
+			for i, lhs := range n.Lhs {
+				taint(lhs, rhsFor(n, i))
+			}
+		case *ast.IncDecStmt:
+			if ix, isIndex := ast.Unparen(n.X).(*ast.IndexExpr); isIndex && shared(ix.X) {
+				report(n, "assignment to", n.X)
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if i < len(n.Values) {
+					taint(name, n.Values[i])
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Value != nil {
+				taint(n.Value, n.X)
+			}
+		case *ast.CallExpr:
+			if len(n.Args) == 0 {
+				return true
+			}
+			if id, isID := ast.Unparen(n.Fun).(*ast.Ident); isID {
+				if b, isB := info.Uses[id].(*types.Builtin); isB && (b.Name() == "append" || b.Name() == "copy") && shared(n.Args[0]) {
+					report(n, b.Name()+" to", n.Args[0])
+				}
+				return true
+			}
+			if path, name, ok := pkgFunc(info, n); ok && inPlaceSorts[path][name] && shared(n.Args[0]) {
+				report(n, path+"."+name+" on", n.Args[0])
+			}
+		}
+		return true
+	})
 }

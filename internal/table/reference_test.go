@@ -372,6 +372,23 @@ func TestConcurrentViewReads(t *testing.T) {
 			t.Fatal("concurrent GroupByQI differs from serial result")
 		}
 	}
+
+	// The first GroupByQI call on a table, made by 8 goroutines at once:
+	// they race to fill the memo and must all see the same grouping.
+	fresh := tbl.Clone()
+	start := make(chan struct{})
+	for w := 0; w < 8; w++ {
+		go func() {
+			<-start
+			done <- fresh.GroupByQI()
+		}()
+	}
+	close(start)
+	for w := 0; w < 8; w++ {
+		if got := <-done; !reflect.DeepEqual(got, want) {
+			t.Fatal("concurrent first GroupByQI differs from serial result")
+		}
+	}
 }
 
 // TestGroupByQIWidePacking covers the two GroupByQI fallbacks by matching

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Table is a microdata table T: n rows over a schema with d QI attributes and
@@ -36,6 +37,11 @@ type Table struct {
 	rows   []int32   // view indirection: logical i -> physical rows[i]; nil = dense
 	cap    int       // arena capacity in rows (owning tables only)
 	shared bool      // columns are shared with another table; appends are rejected
+
+	// groups memoizes GroupByQI; nil until the first call, cleared by push.
+	// Views and projections are new Tables, so they never see their
+	// parent's memo.
+	groups atomic.Pointer[[][]int]
 }
 
 // New creates an empty table with the given schema.
@@ -119,8 +125,12 @@ func (t *Table) Dimensions() int { return t.schema.Dimensions() }
 // parent and reject appends.
 func (t *Table) IsView() bool { return t.rows != nil }
 
-// push appends already-validated codes to the columns.
+// push appends already-validated codes to the columns and drops the
+// memoized grouping, which no longer covers every row.
 func (t *Table) push(qi []int, sa int) {
+	if t.groups.Load() != nil {
+		t.groups.Store(nil)
+	}
 	n := len(t.sa)
 	if n >= t.cap {
 		t.grow(n + 1)
@@ -385,6 +395,23 @@ func (t *Table) QIKey(i int) string {
 // groups are returned in a deterministic order (by the QI key of their first
 // row in lexicographic order), and rows within a group preserve table order.
 //
+// The grouping is computed once per table and memoized: later calls, from
+// any goroutine, return the same slices until an append clears the memo
+// (concurrent first calls may each compute an identical copy). Callers must
+// treat the groups as read-only — no element writes, no in-place sorting, no
+// appends — because every other caller of the same table shares them
+// (ldivlint's viewsafety analyzer flags such writes).
+func (t *Table) GroupByQI() [][]int {
+	if g := t.groups.Load(); g != nil {
+		return *g
+	}
+	g := t.groupByQI()
+	t.groups.Store(&g)
+	return g
+}
+
+// groupByQI computes the grouping GroupByQI memoizes.
+//
 // Grouping is sort-based and allocation-lean instead of string-keyed: each
 // attribute's codes are dictionary-encoded to their decimal-string rank
 // (tables cached per attribute — see decimalRankTable), the per-row ranks are
@@ -396,7 +423,7 @@ func (t *Table) QIKey(i int) string {
 // at n >= radixMinN, slices.Sort below it. No key strings are ever
 // materialized, and groups have capped capacity, so appending to one cannot
 // bleed into its neighbor.
-func (t *Table) GroupByQI() [][]int {
+func (t *Table) groupByQI() [][]int {
 	n := t.Len()
 	if n == 0 {
 		return nil
@@ -436,15 +463,7 @@ func (t *Table) GroupByQI() [][]int {
 		for i, k := range keys {
 			rows[i] = int(k & rowMask)
 		}
-		out := make([][]int, 0, 16)
-		start := 0
-		for i := 1; i <= n; i++ {
-			if i == n || keys[i]>>rowBits != keys[start]>>rowBits {
-				out = append(out, rows[start:i:i])
-				start = i
-			}
-		}
-		return out
+		return cutRuns(rows, keys, rowBits)
 	}
 
 	rows := make([]int, n)
@@ -471,15 +490,11 @@ func (t *Table) GroupByQI() [][]int {
 				}
 			})
 		}
-		out := make([][]int, 0, 16)
-		start := 0
-		for i := 1; i <= n; i++ {
-			if i == n || keys[rows[i]] != keys[rows[start]] {
-				out = append(out, rows[start:i:i])
-				start = i
-			}
+		sorted := make([]uint64, n)
+		for i, r := range rows {
+			sorted[i] = keys[r]
 		}
-		return out
+		return cutRuns(rows, sorted, 0)
 	}
 
 	// Wide schemas whose ranks do not fit one word: same order, rank
@@ -505,10 +520,33 @@ func (t *Table) GroupByQI() [][]int {
 		return 0
 	}
 	slices.SortStableFunc(rows, cmp)
-	out := make([][]int, 0, 16)
+	// Number the runs of equal rank vectors so the cut compares integers.
+	runs := make([]uint64, n)
+	for i := 1; i < n; i++ {
+		runs[i] = runs[i-1]
+		if cmp(rows[i], rows[i-1]) != 0 {
+			runs[i]++
+		}
+	}
+	return cutRuns(rows, runs, 0)
+}
+
+// cutRuns cuts sorted rows into groups, one per run of equal keys[i]>>shift
+// (keys in sorted position order). A counting pass sizes the result exactly,
+// so the group headers are allocated once. Groups are capacity-capped
+// sub-slices of rows, so appending to one cannot bleed into its neighbor.
+func cutRuns(rows []int, keys []uint64, shift uint) [][]int {
+	n := len(rows)
+	k := 1
+	for i := 1; i < n; i++ {
+		if keys[i]>>shift != keys[i-1]>>shift {
+			k++
+		}
+	}
+	out := make([][]int, 0, k)
 	start := 0
 	for i := 1; i <= n; i++ {
-		if i == n || cmp(rows[i], rows[start]) != 0 {
+		if i == n || keys[i]>>shift != keys[start]>>shift {
 			out = append(out, rows[start:i:i])
 			start = i
 		}

@@ -264,6 +264,63 @@ func TestGroupByQIMatchesStringKeyOrder(t *testing.T) {
 	}
 }
 
+// TestGroupByQIMemoClearedByAppend groups a table, appends through both
+// append paths, and groups again: the memo must not outlive the append.
+func TestGroupByQIMemoClearedByAppend(t *testing.T) {
+	tbl := hospitalTable(t)
+	first := tbl.GroupByQI()
+	if again := tbl.GroupByQI(); &again[0][0] != &first[0][0] {
+		t.Fatal("second GroupByQI on an unchanged table regrouped instead of reusing the memo")
+	}
+	tbl.MustAppendRow([]int{0, 0, 0}, 0)
+	if got, want := tbl.GroupByQI(), tbl.Clone().GroupByQI(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after AppendRow: got %v, want a fresh table's %v", got, want)
+	}
+	if err := tbl.AppendLabels([]string{"99999", "99", "nurse"}, "flu"); err != nil {
+		t.Fatal(err)
+	}
+	got, want := tbl.GroupByQI(), tbl.Clone().GroupByQI()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after AppendLabels: got %v, want a fresh table's %v", got, want)
+	}
+	if !reflect.DeepEqual(got, stringKeyGroups(tbl)) {
+		t.Fatalf("after appends: got %v, want %v", got, stringKeyGroups(tbl))
+	}
+	covered := 0
+	for _, g := range got {
+		covered += len(g)
+	}
+	if covered != tbl.Len() {
+		t.Fatalf("grouping covers %d of %d rows after appends", covered, tbl.Len())
+	}
+}
+
+// TestGroupByQIMemoNotInherited groups a table first, then groups its views
+// and projections: each must return its own grouping, not the parent's.
+func TestGroupByQIMemoNotInherited(t *testing.T) {
+	tbl := hospitalTable(t)
+	parent := tbl.GroupByQI()
+	sub := tbl.Subset([]int{4, 0, 2})
+	proj, err := tbl.Project([]int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := tbl.ProjectNames([]string{"Age"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := tbl.Sample(3, rand.New(rand.NewSource(1)))
+	for name, v := range map[string]*Table{"Subset": sub, "Project": proj, "ProjectNames": named, "Sample": sample, "Clone": tbl.Clone()} {
+		got := v.GroupByQI()
+		if want := stringKeyGroups(v); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s of a grouped table: got %v, want its own grouping %v", name, got, want)
+		}
+		if name != "Clone" && reflect.DeepEqual(got, parent) {
+			t.Errorf("%s returned the parent's grouping %v", name, parent)
+		}
+	}
+}
+
 func TestCompareDecimal(t *testing.T) {
 	cases := []struct{ a, b, want int }{
 		{0, 0, 0}, {5, 5, 0}, {1, 2, -1}, {2, 1, 1},
