@@ -5,8 +5,11 @@ CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkT
 
 # Benchmarks of the columnar table core: the data-model primitives
 # (append/sample/subset/project), the grouping primitive every TP run starts
-# with, and the end-to-end anonymization that sits on top of them.
-TABLE_BENCH := BenchmarkTableOps|BenchmarkGroupByQI|BenchmarkAnonymize$$
+# with and its radix kernel, and the end-to-end anonymization that sits on
+# top of them. The pattern also matches BenchmarkGroupByQIRankCache in
+# TABLE_PKGS' internal/table.
+TABLE_BENCH := BenchmarkTableOps|BenchmarkGroupByQI|BenchmarkRadixSortPairs|BenchmarkAnonymize$$
+TABLE_PKGS := . ./internal/table
 
 .PHONY: all build test race bench bench-table bench-table-smoke bench-smoke differential loadtest-smoke loadtest-sustained profile bench-compare fmt vet lint run-server smoke-server docs-lint fuzz-smoke cover
 
@@ -39,11 +42,12 @@ bench:
 	@echo
 	@echo "wrote bench.txt — compare revisions with: benchstat old.txt bench.txt"
 
-# bench-table measures the columnar table core (GroupByQI and end-to-end
-# Anonymize, with allocation counts) and writes bench-table.txt; run it on
-# two revisions and compare with benchstat, as EXPERIMENTS.md records.
+# bench-table measures the columnar table core (GroupByQI, its sort kernel
+# and end-to-end Anonymize, with allocation counts) and writes
+# bench-table.txt; run it on two revisions and compare with benchstat, as
+# EXPERIMENTS.md records.
 bench-table:
-	$(GO) test -run '^$$' -bench '$(TABLE_BENCH)' -benchmem -count 6 . | tee bench-table.txt
+	$(GO) test -run '^$$' -bench '$(TABLE_BENCH)' -benchmem -count 6 $(TABLE_PKGS) | tee bench-table.txt
 	@echo
 	@echo "wrote bench-table.txt — compare revisions with: benchstat old.txt bench-table.txt"
 
@@ -51,7 +55,7 @@ bench-table:
 # this as a named step so a regression in the benchmark harness itself fails
 # fast and visibly.
 bench-table-smoke:
-	$(GO) test -run '^$$' -bench '$(TABLE_BENCH)' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(TABLE_BENCH)' -benchmem -benchtime 1x $(TABLE_PKGS)
 
 # bench-smoke executes every benchmark exactly once so benchmark code cannot
 # rot unnoticed; CI runs this on every push. BENCHFLAGS forwards extra go test

@@ -1,89 +1,63 @@
 package table
 
-// LSD radix sort for GroupByQI's packed rank keys. The dictionary codes give
-// dense per-attribute domains, so the packed key of a row occupies a known
-// number of low bits (totalBits, plus rowBits on the fast path); sorting
-// byte-by-byte from the least significant end needs exactly
-// ceil(usedBits/8) counting passes, each one linear scan plus a 256-entry
-// histogram. Passes whose byte is constant across all keys are skipped, which
-// on narrow schemas collapses the sort to one or two passes.
-
-// radixMinN is the input size below which GroupByQI keeps the comparison
-// sort: under ~2k keys the ping-pong buffer and histogram setup cost more
-// than slices.Sort's branch-predicted insertion/pdqsort mix. Tuned with
-// BenchmarkRadixKernels on the 1-vCPU reference container.
-const radixMinN = 2048
-
-// radixSortUint64 sorts keys ascending, assuming every key fits in the low
-// usedBits bits. Stability is irrelevant here (duplicate keys are
-// indistinguishable), but the implementation is stable regardless.
-func radixSortUint64(keys []uint64, usedBits uint) {
+// radixSortPairs stably sorts keys ascending and moves rows with them, so
+// rows[i] stays the row of keys[i]; every key must fit in the low usedBits
+// bits. It returns the sorted pair, which is either the arrays passed in or
+// a second pair it allocates as the ping-pong buffer; it never copies back.
+//
+// It is an LSD radix sort with one counting pass per byte of the used bits,
+// least significant byte first. Each pass scatters both arrays and, as it
+// reads the keys, counts the byte the next pass sorts on. A pass whose byte
+// is the same in every key is skipped, so narrow or low-entropy keys take one
+// or two passes. Equal keys keep the order they had on entry, which is how
+// GroupByQI keeps table order within a group and chains the sorts of a
+// multi-word key.
+func radixSortPairs(keys []uint64, rows []int, usedBits uint) ([]uint64, []int) {
 	n := len(keys)
 	if n < 2 {
-		return
+		return keys, rows
 	}
-	tmp := make([]uint64, n)
-	src, dst := keys, tmp
+	var tmpKeys []uint64
+	var tmpRows []int
+	srcK, srcR := keys, rows
+	var cnt [256]int
+	for _, k := range keys {
+		cnt[byte(k)]++
+	}
 	for shift := uint(0); shift < usedBits; shift += 8 {
-		var cnt [256]int
-		for _, k := range src {
-			cnt[int(k>>shift)&0xff]++
-		}
-		if cnt[int(src[0]>>shift)&0xff] == n {
-			continue // constant byte: nothing to reorder
-		}
-		var off [256]int
-		pos := 0
-		for b := range off {
-			off[b] = pos
-			pos += cnt[b]
-		}
-		for _, k := range src {
-			b := int(k>>shift) & 0xff
-			dst[off[b]] = k
-			off[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
-// radixSortRowsByKey stably sorts rows so that keys[rows[i]] is ascending,
-// assuming every key fits in the low usedBits bits. Because LSD radix is
-// stable and GroupByQI seeds rows in ascending table order, equal-key rows
-// come out in table order — the same tie-break the comparison path encodes
-// explicitly.
-func radixSortRowsByKey(rows []int, keys []uint64, usedBits uint) {
-	n := len(rows)
-	if n < 2 {
-		return
-	}
-	tmp := make([]int, n)
-	src, dst := rows, tmp
-	for shift := uint(0); shift < usedBits; shift += 8 {
-		var cnt [256]int
-		for _, r := range src {
-			cnt[int(keys[r]>>shift)&0xff]++
-		}
-		if cnt[int(keys[src[0]]>>shift)&0xff] == n {
+		var next [256]int
+		if cnt[byte(srcK[0]>>shift)] == n {
+			// Constant byte: nothing to reorder.
+			for _, k := range srcK {
+				next[byte(k>>(shift+8))]++
+			}
+			cnt = next
 			continue
 		}
+		if tmpKeys == nil {
+			tmpKeys, tmpRows = make([]uint64, n), make([]int, n)
+		}
+		dstK, dstR := tmpKeys, tmpRows
+		if &srcK[0] == &tmpKeys[0] {
+			dstK, dstR = keys, rows
+		}
 		var off [256]int
 		pos := 0
-		for b := range off {
+		for b, c := range cnt {
 			off[b] = pos
-			pos += cnt[b]
+			pos += c
 		}
-		for _, r := range src {
-			b := int(keys[r]>>shift) & 0xff
-			dst[off[b]] = r
-			off[b]++
+		srcR, dstR = srcR[:len(srcK)], dstR[:len(dstK)] // lets the compiler drop bounds checks
+		for i, k := range srcK {
+			b := byte(k >> shift)
+			j := off[b]
+			dstK[j] = k
+			dstR[j] = srcR[i]
+			off[b] = j + 1
+			next[byte(k>>(shift+8))]++
 		}
-		src, dst = dst, src
+		cnt = next
+		srcK, srcR = dstK, dstR
 	}
-	if &src[0] != &rows[0] {
-		copy(rows, src)
-	}
+	return srcK, srcR
 }

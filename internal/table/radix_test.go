@@ -1,47 +1,95 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
+// checkRadixSortPairs sorts keys, with rows 0..n-1 beside them, through
+// radixSortPairs and checks every (key, row) pair against
+// slices.SortStableFunc, so both key order and the table-order tie-break of
+// equal keys are checked.
+func checkRadixSortPairs(t *testing.T, keys []uint64, usedBits uint) {
+	t.Helper()
+	type pair struct {
+		key uint64
+		row int
+	}
+	n := len(keys)
+	rows := make([]int, n)
+	want := make([]pair, n)
+	for i, k := range keys {
+		rows[i] = i
+		want[i] = pair{k, i}
+	}
+	slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+	keys, rows = radixSortPairs(keys, rows, usedBits)
+	for i, p := range want {
+		if keys[i] != p.key || rows[i] != p.row {
+			t.Fatalf("position %d: got (%#x, row %d), want (%#x, row %d)", i, keys[i], rows[i], p.key, p.row)
+		}
+	}
+}
+
+// randomKeys draws n keys of the given used-bit width from n/8+1 distinct
+// values, so equal keys are common.
+func randomKeys(rng *rand.Rand, n int, bits uint) []uint64 {
+	mask := ^uint64(0)
+	if bits < 64 {
+		mask = uint64(1)<<bits - 1
+	}
+	pool := make([]uint64, n/8+1)
+	for i := range pool {
+		pool[i] = rng.Uint64() & mask
+	}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = pool[rng.Intn(len(pool))]
+	}
+	return keys
+}
+
+var radixTestSizes = []int{0, 1, 2, 255, 4097}
+
 func TestRadixSortUint64MatchesSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 3, 255, 256, 1000, 5000} {
-		for _, bits := range []uint{1, 7, 8, 9, 16, 24, 37, 53, 64} {
-			keys := make([]uint64, n)
-			mask := ^uint64(0)
-			if bits < 64 {
-				mask = uint64(1)<<bits - 1
-			}
-			for i := range keys {
-				keys[i] = rng.Uint64() & mask
-			}
-			want := slices.Clone(keys)
-			slices.Sort(want)
-			radixSortUint64(keys, bits)
-			if !slices.Equal(keys, want) {
-				t.Fatalf("n=%d bits=%d: radixSortUint64 diverges from slices.Sort", n, bits)
-			}
+	for _, bits := range []uint{1, 7, 8, 9, 17, 24, 47, 53, 64} {
+		for _, n := range radixTestSizes {
+			t.Run(fmt.Sprintf("bits=%d/n=%d", bits, n), func(t *testing.T) {
+				checkRadixSortPairs(t, randomKeys(rng, n, bits), bits)
+			})
 		}
 	}
 }
 
 func TestRadixSortUint64ConstantBytes(t *testing.T) {
-	// All keys share every byte except the middle one: the skip-pass logic
-	// must still produce a sorted array.
-	keys := make([]uint64, 4096)
-	for i := range keys {
-		keys[i] = 0xab<<16 | uint64(i%256)<<8 | 0xcd
+	// Keys whose low, middle or high byte is the same everywhere: the kernel
+	// skips that pass and must still sort the pairs stably.
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name    string
+		byteIdx uint
+	}{{"const-low", 0}, {"const-middle", 1}, {"const-high", 2}} {
+		for _, n := range radixTestSizes {
+			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
+				keys := randomKeys(rng, n, 24)
+				for i := range keys {
+					keys[i] = keys[i]&^(0xff<<(8*tc.byteIdx)) | 0xcd<<(8*tc.byteIdx)
+				}
+				checkRadixSortPairs(t, keys, 24)
+			})
+		}
 	}
-	want := slices.Clone(keys)
-	slices.Sort(want)
-	radixSortUint64(keys, 24)
-	if !slices.Equal(keys, want) {
-		t.Fatal("radixSortUint64 mis-sorts keys with constant high/low bytes")
-	}
+	t.Run("only-middle-varies", func(t *testing.T) {
+		keys := make([]uint64, 4096)
+		for i := range keys {
+			keys[i] = 0xab<<16 | uint64(i%256)<<8 | 0xcd
+		}
+		checkRadixSortPairs(t, keys, 24)
+	})
 }
 
 func TestRadixSortRowsByKeyStable(t *testing.T) {
@@ -49,24 +97,13 @@ func TestRadixSortRowsByKeyStable(t *testing.T) {
 	// order (the table-order tie-break GroupByQI relies on).
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 500, 4096} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = uint64(rng.Intn(17)) // heavy duplication
-		}
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		radixSortRowsByKey(rows, keys, 5)
-		for i := 1; i < n; i++ {
-			a, b := rows[i-1], rows[i]
-			if keys[a] > keys[b] {
-				t.Fatalf("n=%d: keys out of order at %d", n, i)
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(rng.Intn(17)) // heavy duplication
 			}
-			if keys[a] == keys[b] && a > b {
-				t.Fatalf("n=%d: stability violated at %d: row %d before %d", n, i, a, b)
-			}
-		}
+			checkRadixSortPairs(t, keys, 5)
+		})
 	}
 }
 
@@ -90,32 +127,79 @@ func groupByQIRef(tbl *Table) [][]int {
 	return out
 }
 
+// TestGroupByQIRadixMatchesReference checks GroupByQI against the string-keyed
+// reference on schemas that pack into one, two and three rank words, on views,
+// and on tiny and constant tables. Small value ranges force heavy key
+// duplication, which exercises the table-order tie-break.
 func TestGroupByQIRadixMatchesReference(t *testing.T) {
-	// Sized above radixMinN so the radix paths run; small cardinalities force
-	// heavy key duplication and exercise the tie-break.
 	rng := rand.New(rand.NewSource(3))
+	// build appends rows to a table whose QI attributes have the given
+	// cardinalities; val draws attribute j's value (uniform by default).
+	build := func(cards []int, rows int, val func(j int) int) *Table {
+		qi := make([]*Attribute, len(cards))
+		for j, c := range cards {
+			qi[j] = NewIntegerAttribute(fmt.Sprintf("q%d", j), c)
+		}
+		if val == nil {
+			val = func(j int) int { return rng.Intn(cards[j]) }
+		}
+		tbl := New(MustSchema(qi, NewIntegerAttribute("sa", 8)))
+		row := make([]int, len(cards))
+		for i := 0; i < rows; i++ {
+			for j := range row {
+				row[j] = val(j)
+			}
+			tbl.MustAppendRow(row, rng.Intn(8))
+		}
+		return tbl
+	}
+	repeat := func(c, k int) []int { return slices.Repeat([]int{c}, k) }
 	for _, tc := range []struct {
 		name  string
-		cards []int
-		rows  int
+		table func() *Table
 	}{
-		{"fast-path", []int{13, 7, 5}, 3 * radixMinN},
-		{"many-attrs", []int{3, 3, 3, 3, 3, 3}, 2 * radixMinN},
-		{"single-attr", []int{101}, 2 * radixMinN},
+		// fast-path, middle-path and wide-packing-* keep the names of the
+		// sort paths they were written for, so results compare across
+		// revisions.
+		{"fast-path", func() *Table { return build([]int{13, 7, 5}, 6144, nil) }},
+		{"many-attrs", func() *Table { return build(repeat(3, 6), 4096, nil) }},
+		{"single-attr", func() *Table { return build([]int{101}, 4096, nil) }},
+		// 4×15 bits of ranks fill most of one word.
+		{"middle-path", func() *Table {
+			return build(repeat(1<<15, 4), 2148, func(j int) int { return rng.Intn(3 - j/2) })
+		}},
+		// 5×13 = 65 bits: two words; 4×13 = 52 bits: one.
+		{"wide-packing-5", func() *Table {
+			return build(repeat(8000, 5), 300, func(int) int { return rng.Intn(5) * 1999 })
+		}},
+		{"wide-packing-4", func() *Table {
+			return build(repeat(8000, 4), 300, func(int) int { return rng.Intn(5) * 1999 })
+		}},
+		// 12×15 bits: three words. 10 sorts before 7 by decimal string.
+		{"three-words", func() *Table {
+			return build(repeat(1<<15, 12), 3000, func(int) int { return []int{10, 7}[rng.Intn(2)] })
+		}},
+		{"three-words-subset", func() *Table {
+			tbl := build(repeat(1<<15, 12), 3000, func(int) int { return []int{10, 7}[rng.Intn(2)] })
+			return tbl.Subset(rng.Perm(tbl.Len()))
+		}},
+		{"subset-shuffled", func() *Table {
+			tbl := build([]int{13, 7, 5}, 3000, nil)
+			return tbl.Subset(rng.Perm(tbl.Len())[:2500])
+		}},
+		{"project", func() *Table {
+			p, err := build([]int{13, 7, 5, 3}, 3000, nil).Project([]int{3, 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+		{"n=1", func() *Table { return build([]int{13, 7}, 1, nil) }},
+		{"n=2", func() *Table { return build([]int{13, 7}, 2, nil) }},
+		{"constant", func() *Table { return build([]int{13, 7, 5}, 500, func(j int) int { return j + 1 }) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			qi := make([]*Attribute, len(tc.cards))
-			for j, c := range tc.cards {
-				qi[j] = NewIntegerAttribute(fmt.Sprintf("q%d", j), c)
-			}
-			tbl := New(MustSchema(qi, NewIntegerAttribute("sa", 8)))
-			row := make([]int, len(tc.cards))
-			for i := 0; i < tc.rows; i++ {
-				for j, c := range tc.cards {
-					row[j] = rng.Intn(c)
-				}
-				tbl.MustAppendRow(row, rng.Intn(8))
-			}
+			tbl := tc.table()
 			got := tbl.GroupByQI()
 			want := groupByQIRef(tbl)
 			if len(got) != len(want) {
@@ -127,33 +211,6 @@ func TestGroupByQIRadixMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestGroupByQIMiddlePathRadix(t *testing.T) {
-	// Rank bits fit one word but rank+row bits do not: a 60-bit QI key over
-	// >radixMinN rows forces the keyed-rows radix path.
-	qi := []*Attribute{
-		NewIntegerAttribute("a", 1<<15),
-		NewIntegerAttribute("b", 1<<15),
-		NewIntegerAttribute("c", 1<<15),
-		NewIntegerAttribute("d", 1<<15),
-	}
-	tbl := New(MustSchema(qi, NewIntegerAttribute("sa", 4)))
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < radixMinN+100; i++ {
-		// Tiny value range keeps groups large despite the huge domains.
-		tbl.MustAppendRow([]int{rng.Intn(3), rng.Intn(3), rng.Intn(2), rng.Intn(2)}, rng.Intn(4))
-	}
-	got := tbl.GroupByQI()
-	want := groupByQIRef(tbl)
-	if len(got) != len(want) {
-		t.Fatalf("group count: got %d want %d", len(got), len(want))
-	}
-	for g := range got {
-		if !slices.Equal(got[g], want[g]) {
-			t.Fatalf("group %d differs", g)
-		}
 	}
 }
 
@@ -209,33 +266,27 @@ func TestGroupByQIReusesRankTables(t *testing.T) {
 	}
 }
 
-// BenchmarkRadixKernels pits the LSD radix sort against slices.Sort on the
-// exact packed-key workload GroupByQI's fast path produces (rank key in the
-// high bits, row index in the low bits), at sizes straddling radixMinN. The
-// acceptance bar for this repo: radix must win at n >= 100k.
-func BenchmarkRadixKernels(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
+// BenchmarkRadixSortPairs times the grouping kernel on 47-bit keys (the
+// packed rank width of a wide SAL-like schema) with their row indices, at
+// sizes from a few hundred rows to publish-wide's 100k. The sizes straddle
+// 2048, where grouping once switched from a comparison sort to radix, so
+// the cost of sorting short inputs by radix too is on record.
+func BenchmarkRadixSortPairs(b *testing.B) {
+	for _, n := range []int{512, 2048, 8192, 100_000} {
 		rng := rand.New(rand.NewSource(42))
-		rowBits := uint(bitsFor(n))
 		base := make([]uint64, n)
 		for i := range base {
-			// ~13 bits of rank key over a SAL-like 4-attribute schema.
-			base[i] = uint64(rng.Intn(1<<13))<<rowBits | uint64(i)
+			base[i] = rng.Uint64() & (1<<47 - 1)
 		}
-		usedBits := 13 + rowBits
-		work := make([]uint64, n)
-		b.Run(fmt.Sprintf("radix/n=%d", n), func(b *testing.B) {
+		keys, rows := make([]uint64, n), make([]int, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				radixSortUint64(work, usedBits)
-			}
-		})
-		b.Run(fmt.Sprintf("stdsort/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				slices.Sort(work)
+				copy(keys, base)
+				for r := range rows {
+					rows[r] = r
+				}
+				radixSortPairs(keys, rows, 47)
 			}
 		})
 	}

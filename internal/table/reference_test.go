@@ -390,37 +390,3 @@ func TestConcurrentViewReads(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupByQIWidePacking covers the two GroupByQI fallbacks by matching
-// them against the reference on schemas whose packed keys exceed 64 bits
-// with and without the embedded row index.
-func TestGroupByQIWidePacking(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	// 5 attributes of cardinality 8000 (13 bits each = 65 bits): rank key
-	// alone overflows one word -> per-attribute comparison path.
-	wide := make([]*Attribute, 5)
-	for j := range wide {
-		wide[j] = NewIntegerAttribute("W"+strconv.Itoa(j), 8000)
-	}
-	// 4 attributes of cardinality 8000 (52 bits) + row bits: the packed-row
-	// fast path only engages for tiny n, the keyed SortFunc path otherwise.
-	narrow := make([]*Attribute, 4)
-	for j := range narrow {
-		narrow[j] = NewIntegerAttribute("N"+strconv.Itoa(j), 8000)
-	}
-	for _, attrs := range [][]*Attribute{wide, narrow} {
-		schema := MustSchema(attrs, NewIntegerAttribute("S", 3))
-		tbl := New(schema)
-		ref := newRefTable(schema)
-		row := make([]int, len(attrs))
-		for i := 0; i < 300; i++ {
-			for j := range row {
-				row[j] = rng.Intn(5) * 1999 // collisions across the huge domain
-			}
-			sa := rng.Intn(3)
-			tbl.MustAppendRow(row, sa)
-			ref.appendRow(row, sa)
-		}
-		mustMatch(t, tbl, ref, "wide packing")
-	}
-}

@@ -412,166 +412,105 @@ func (t *Table) GroupByQI() [][]int {
 
 // groupByQI computes the grouping GroupByQI memoizes.
 //
-// Grouping is sort-based and allocation-lean instead of string-keyed: each
-// attribute's codes are dictionary-encoded to their decimal-string rank
-// (tables cached per attribute — see decimalRankTable), the per-row ranks are
-// packed into one integer sort key built column by column (one linear pass
-// per attribute over its contiguous column), and every group is a sub-slice
-// of the single sorted index array. When the ranks and the row index together
-// fit one word, the row index is packed into the key's low bits and the whole
-// array is sorted comparison-free — an LSD radix sort over the used key bits
-// at n >= radixMinN, slices.Sort below it. No key strings are ever
-// materialized, and groups have capped capacity, so appending to one cannot
-// bleed into its neighbor.
+// Grouping is one stable sort of the row indices by their QI rank vectors;
+// no key strings are ever materialized. Each attribute's codes map to their
+// decimal-string rank (tables cached per attribute — see decimalRankTable),
+// so comparing rank vectors attribute by attribute is exactly the
+// lexicographic QI-key order (the ',' separator sorts below every digit,
+// which is the same shorter-number-first rule compareDecimal applies). The
+// ranks of a row are packed in column order, the first attribute highest,
+// into as few 64-bit words as the schema needs (one for every SAL/OCC
+// shape), and radixSortPairs sorts the rows, starting from table order, by
+// each word in turn, least significant word first. Every pass is stable, so
+// the rows of a group keep table order. Every group is a capacity-capped
+// sub-slice of the single sorted row array, so appending to one cannot bleed
+// into its neighbor.
 func (t *Table) groupByQI() [][]int {
 	n := t.Len()
 	if n == 0 {
 		return nil
 	}
-	d := t.schema.Dimensions()
-	// rank[j][code] positions code within attribute j's domain ordered by
-	// decimal strings; comparing ranks attribute by attribute is exactly the
-	// lexicographic QI-key order (the ',' separator sorts below every digit,
-	// which is the same shorter-number-first rule compareDecimal applies).
-	ranks := make([][]int, d)
-	shift := make([]uint, d)
-	totalBits := uint(0)
-	for j := 0; j < d; j++ {
-		a := t.schema.QI(j)
-		ranks[j] = a.decimalRankTable()
-		shift[j] = uint(bitsFor(a.Cardinality()))
-		totalBits += shift[j]
-	}
-	rowBits := uint(bitsFor(n))
-
-	if totalBits+rowBits <= 64 {
-		// Fast path: QI rank key and row index share one uint64, so equal-key
-		// rows tie-break on table order for free and the sort needs no
-		// comparison function.
-		keys := make([]uint64, n)
-		t.buildRankKeys(keys, ranks, shift)
-		for i := range keys {
-			keys[i] = keys[i]<<rowBits | uint64(i)
-		}
-		if n >= radixMinN {
-			radixSortUint64(keys, totalBits+rowBits)
-		} else {
-			slices.Sort(keys)
-		}
-		rowMask := uint64(1)<<rowBits - 1
-		rows := make([]int, n)
-		for i, k := range keys {
-			rows[i] = int(k & rowMask)
-		}
-		return cutRuns(rows, keys, rowBits)
-	}
-
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	if totalBits <= 64 {
-		// The rank key fits one word but the row index does not; sort with an
-		// explicit table-order tie-break.
-		keys := make([]uint64, n)
-		t.buildRankKeys(keys, ranks, shift)
-		if n >= radixMinN {
-			// Stable radix on ascending row seeds: equal keys keep table order.
-			radixSortRowsByKey(rows, keys, totalBits)
-		} else {
-			slices.SortFunc(rows, func(a, b int) int {
-				switch {
-				case keys[a] < keys[b]:
-					return -1
-				case keys[a] > keys[b]:
-					return 1
-				default:
-					return a - b // table order within a group
-				}
-			})
+	keys := make([]uint64, n)
+	var order []int // nil until the first sort moves rows out of table order
+	used := uint(0)
+	// Pack attributes from the last one up; when the next one does not fit
+	// the word, sort by the word and start the next one.
+	for j := t.schema.Dimensions() - 1; j >= 0; j-- {
+		a := t.schema.QI(j)
+		bits := uint(bitsFor(a.Cardinality()))
+		if used+bits > 64 {
+			keys, rows = radixSortPairs(keys, rows, used)
+			order, used = rows, 0
+			clear(keys)
 		}
-		sorted := make([]uint64, n)
-		for i, r := range rows {
-			sorted[i] = keys[r]
-		}
-		return cutRuns(rows, sorted, 0)
+		t.packRank(keys, order, j, a.decimalRankTable(), used)
+		used += bits
 	}
-
-	// Wide schemas whose ranks do not fit one word: same order, rank
-	// comparison per attribute.
-	phys := t.rows
-	if phys == nil {
-		phys = make([]int32, n)
-		for i := range phys {
-			phys[i] = int32(i)
-		}
-	}
-	cmp := func(a, b int) int {
-		pa, pb := phys[a], phys[b]
-		for j := 0; j < d; j++ {
-			x, y := ranks[j][t.cols[j][pa]], ranks[j][t.cols[j][pb]]
-			if x != y {
-				if x < y {
-					return -1
+	keys, rows = radixSortPairs(keys, rows, used)
+	if order != nil {
+		// keys holds only the leading word: renumber them as runs of
+		// identical QI vectors so the cut sees every attribute.
+		run := uint64(0)
+		for i := 1; i < n; i++ {
+			pa, pb := t.physical(rows[i-1]), t.physical(rows[i])
+			for _, col := range t.cols {
+				if col[pa] != col[pb] {
+					run++
+					break
 				}
-				return 1
 			}
+			keys[i] = run
 		}
-		return 0
+		keys[0] = 0
 	}
-	slices.SortStableFunc(rows, cmp)
-	// Number the runs of equal rank vectors so the cut compares integers.
-	runs := make([]uint64, n)
-	for i := 1; i < n; i++ {
-		runs[i] = runs[i-1]
-		if cmp(rows[i], rows[i-1]) != 0 {
-			runs[i]++
-		}
-	}
-	return cutRuns(rows, runs, 0)
+	return cutRuns(rows, keys)
 }
 
-// cutRuns cuts sorted rows into groups, one per run of equal keys[i]>>shift
-// (keys in sorted position order). A counting pass sizes the result exactly,
-// so the group headers are allocated once. Groups are capacity-capped
-// sub-slices of rows, so appending to one cannot bleed into its neighbor.
-func cutRuns(rows []int, keys []uint64, shift uint) [][]int {
+// packRank ors attribute j's decimal rank (rank[code]) of row order[i],
+// shifted left by shift, into keys[i]; order == nil means table order.
+func (t *Table) packRank(keys []uint64, order []int, j int, rank []int, shift uint) {
+	col := t.cols[j]
+	switch {
+	case order != nil:
+		for i, r := range order {
+			keys[i] |= uint64(rank[col[t.physical(r)]]) << shift
+		}
+	case t.rows != nil:
+		for i, p := range t.rows {
+			keys[i] |= uint64(rank[col[p]]) << shift
+		}
+	default:
+		for i := range keys {
+			keys[i] |= uint64(rank[col[i]]) << shift
+		}
+	}
+}
+
+// cutRuns cuts sorted rows into groups, one per run of equal keys (keys in
+// sorted position order). A counting pass sizes the result exactly, so the
+// group headers are allocated once. Groups are capacity-capped sub-slices of
+// rows, so appending to one cannot bleed into its neighbor.
+func cutRuns(rows []int, keys []uint64) [][]int {
 	n := len(rows)
 	k := 1
 	for i := 1; i < n; i++ {
-		if keys[i]>>shift != keys[i-1]>>shift {
+		if keys[i] != keys[i-1] {
 			k++
 		}
 	}
 	out := make([][]int, 0, k)
 	start := 0
 	for i := 1; i <= n; i++ {
-		if i == n || keys[i]>>shift != keys[start]>>shift {
+		if i == n || keys[i] != keys[start] {
 			out = append(out, rows[start:i:i])
 			start = i
 		}
 	}
 	return out
-}
-
-// buildRankKeys accumulates the packed decimal-rank key of every logical row
-// into keys (len == Len), one linear pass per column: keys[i] ends up as the
-// per-attribute ranks of row i shifted and or-ed together in column order.
-// It is shared by both one-word GroupByQI paths.
-func (t *Table) buildRankKeys(keys []uint64, ranks [][]int, shift []uint) {
-	n := len(keys)
-	for j := range t.cols {
-		col, rk, s := t.cols[j], ranks[j], shift[j]
-		if t.rows == nil {
-			for i := 0; i < n; i++ {
-				keys[i] = keys[i]<<s | uint64(rk[col[i]])
-			}
-		} else {
-			for i, p := range t.rows {
-				keys[i] = keys[i]<<s | uint64(rk[col[p]])
-			}
-		}
-	}
 }
 
 // GroupBySignature partitions the row indices 0..n-1 into groups of equal
