@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks whose before/after numbers EXPERIMENTS.md tracks.
-CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkTPWide|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkWriteGeneralizedCSV|BenchmarkVerifyGeneralized
+CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkTPOnSAL4|BenchmarkTPWide|BenchmarkKLDivergence|BenchmarkAudit|BenchmarkReadCSV|BenchmarkReadCSVHighCardinality|BenchmarkWriteGeneralizedCSV|BenchmarkVerifyGeneralized
 
 # Benchmarks of the columnar table core: the data-model primitives
 # (append/sample/subset/project), the grouping primitive every TP run starts

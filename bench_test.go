@@ -711,6 +711,31 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
+// BenchmarkReadCSVHighCardinality measures CSV ingest of the hostile
+// high-cardinality shape: 50k rows whose two QI columns hold ~39k distinct
+// labels each, 8 to 16 bytes long, so nearly every field is a label longer
+// than a packed tag and most are new to the dictionary, which keeps growing.
+func BenchmarkReadCSVHighCardinality(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var buf bytes.Buffer
+	buf.WriteString("A,B,S\n")
+	label := func() string {
+		v := rng.Intn(100000)
+		return fmt.Sprintf("%0*d", 8+v%9, v)
+	}
+	for i := 0; i < 50000; i++ {
+		fmt.Fprintf(&buf, "%s,%s,s%d\n", label(), label(), rng.Intn(10))
+	}
+	in := buf.Bytes()
+	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ldiv.ReadCSV(bytes.NewReader(in), []string{"A", "B"}, "S"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTPWide measures the TP core on the publish-wide shape (100k SAL
 // rows over all seven QI attributes, read from CSV, l=4): the stage perfbench
 // traces as core.tp_ms. Each iteration starts from a fresh copy of the table

@@ -8,17 +8,34 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Attribute is a categorical attribute: a name plus a dictionary that maps
-// string labels to dense integer codes in [0, Cardinality).
+// string labels to dense integer codes in [0, Cardinality), assigned in order
+// of first appearance.
+//
+// Encode and EncodeBytes write the dictionary and need exclusive access to
+// the attribute. Code, Label and the other read-only methods are safe for
+// any number of concurrent readers while nothing encodes.
 type Attribute struct {
 	name   string
 	labels []string
-	codes  map[string]int
+
+	// index maps labels to codes; see lookup for what a slot's tag holds. Its
+	// length is zero or 1<<(64-shift), and at most three quarters of its
+	// slots are in use.
+	index []labelSlot
+	shift uint8
 
 	// rankTab caches the decimal-rank table GroupByQI needs. It depends only
 	// on Cardinality, so it survives across every grouping of tables sharing
@@ -28,10 +45,112 @@ type Attribute struct {
 	rankTab atomic.Pointer[[]int]
 }
 
+// labelSlot is one slot of an Attribute's open-addressed label index. A zero
+// tag marks an empty slot.
+type labelSlot struct {
+	tag  uint64
+	code int32
+}
+
+// The label index draws its hash seed and its slot multiplier once per
+// process, so labels built to collide in one process's index do not collide
+// in another's.
+var (
+	labelSeed = maphash.MakeSeed()
+	slotMulti = maphash.String(labelSeed, "slot") | 1
+)
+
+// homeSlot returns the slot where the probe for tag starts. The top bits of
+// the tag times a random odd multiplier are a universal hash of the tag, so
+// no set of labels chosen in advance, packed tags included, piles up on a
+// few slots.
+func (a *Attribute) homeSlot(tag uint64) uint64 { return tag * slotMulti >> a.shift }
+
+// lookup returns the code of label, or -1 when label is absent and add is
+// false. With add set, an absent label joins the domain as s, which is
+// either label as a string or "" to have label copied.
+//
+// A label of at most 7 bytes is packed with its length into its tag, so
+// equal tags mean equal labels; the tag's top byte is the length plus one. A
+// longer label's tag is its seeded hash with the top bit set, so it never
+// equals a packed tag and a match is confirmed against the stored label. No
+// tag is zero, the mark of an empty slot.
+func (a *Attribute) lookup(label []byte, s string, add bool) int {
+	var tag uint64
+	if len(label) > 7 {
+		tag = maphash.Bytes(labelSeed, label) | 1<<63
+	} else {
+		tag = uint64(len(label)+1) << 56
+		if cap(label) >= 8 {
+			// One load covers the label; the bytes past it are masked off.
+			tag |= binary.LittleEndian.Uint64(label[:8]) & (1<<(8*len(label)) - 1)
+		} else {
+			for i, c := range label {
+				tag |= uint64(c) << (8 * i)
+			}
+		}
+	}
+	if len(a.index) > 0 {
+		mask := uint64(len(a.index) - 1)
+		for i := a.homeSlot(tag); a.index[i].tag != 0; i = (i + 1) & mask {
+			if e := a.index[i]; e.tag == tag && (len(label) <= 7 || string(label) == a.labels[e.code]) {
+				return int(e.code)
+			}
+		}
+	}
+	if !add {
+		return -1
+	}
+	if len(s) != len(label) {
+		s = string(label)
+	}
+	return a.add(tag, s)
+}
+
+// add appends label, whose tag is tag, to the domain and returns its code.
+func (a *Attribute) add(tag uint64, label string) int {
+	c := len(a.labels)
+	if c >= math.MaxInt32 {
+		panic(fmt.Sprintf("table: attribute %q: more than %d labels", a.name, math.MaxInt32))
+	}
+	if 4*(c+1) > 3*len(a.index) {
+		a.growIndex(max(bits.Len(uint(len(a.index))), 3)) // double, from 8 slots
+	}
+	a.index[a.emptySlot(tag)] = labelSlot{tag: tag, code: int32(c)}
+	a.labels = append(a.labels, label)
+	return c
+}
+
+// growIndex rebuilds the index with 1<<logSlots slots. Tags carry everything
+// placement needs, so no label is hashed again.
+func (a *Attribute) growIndex(logSlots int) {
+	old := a.index
+	a.index = make([]labelSlot, 1<<logSlots)
+	a.shift = uint8(64 - logSlots)
+	for _, s := range old {
+		if s.tag != 0 {
+			a.index[a.emptySlot(s.tag)] = s
+		}
+	}
+}
+
+// emptySlot returns the first empty slot on tag's probe sequence.
+func (a *Attribute) emptySlot(tag uint64) int {
+	mask := uint64(len(a.index) - 1)
+	i := a.homeSlot(tag)
+	for a.index[i].tag != 0 {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// bytesOf views s as a byte slice for a lookup, which never writes to it.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
 // NewAttribute creates an attribute with the given name and an empty domain.
 // Labels are added lazily via Encode, or eagerly via NewAttributeWithDomain.
 func NewAttribute(name string) *Attribute {
-	return &Attribute{name: name, codes: make(map[string]int)}
+	return &Attribute{name: name}
 }
 
 // NewAttributeWithDomain creates an attribute whose domain is exactly the
@@ -39,11 +158,10 @@ func NewAttribute(name string) *Attribute {
 func NewAttributeWithDomain(name string, labels []string) (*Attribute, error) {
 	a := NewAttribute(name)
 	for _, lab := range labels {
-		if _, ok := a.codes[lab]; ok {
+		if _, ok := a.Code(lab); ok {
 			return nil, fmt.Errorf("table: attribute %q: duplicate label %q", name, lab)
 		}
-		a.codes[lab] = len(a.labels)
-		a.labels = append(a.labels, lab)
+		a.Encode(lab)
 	}
 	return a, nil
 }
@@ -54,9 +172,7 @@ func NewAttributeWithDomain(name string, labels []string) (*Attribute, error) {
 func NewIntegerAttribute(name string, cardinality int) *Attribute {
 	a := NewAttribute(name)
 	for i := 0; i < cardinality; i++ {
-		lab := fmt.Sprintf("%d", i)
-		a.codes[lab] = i
-		a.labels = append(a.labels, lab)
+		a.Encode(strconv.Itoa(i))
 	}
 	return a
 }
@@ -68,29 +184,20 @@ func (a *Attribute) Name() string { return a.name }
 func (a *Attribute) Cardinality() int { return len(a.labels) }
 
 // Encode returns the code for label, adding it to the domain if absent.
-func (a *Attribute) Encode(label string) int {
-	if c, ok := a.codes[label]; ok {
-		return c
-	}
-	c := len(a.labels)
-	a.codes[label] = c
-	a.labels = append(a.labels, label)
-	return c
-}
+func (a *Attribute) Encode(label string) int { return a.lookup(bytesOf(label), label, true) }
 
 // EncodeBytes is Encode for a label held in a byte slice. The lookup does not
-// allocate; only a label new to the domain is copied into a string.
-func (a *Attribute) EncodeBytes(b []byte) int {
-	if c, ok := a.codes[string(b)]; ok {
-		return c
-	}
-	return a.Encode(string(b))
-}
+// allocate; only a label new to the domain is copied into a string. It may
+// read, but never writes, up to 8 bytes of b's spare capacity.
+func (a *Attribute) EncodeBytes(b []byte) int { return a.lookup(b, "", true) }
 
-// Code returns the code for label and whether it is part of the domain.
+// Code returns the code for label and whether it is part of the domain. It
+// never adds label.
 func (a *Attribute) Code(label string) (int, bool) {
-	c, ok := a.codes[label]
-	return c, ok
+	if c := a.lookup(bytesOf(label), "", false); c >= 0 {
+		return c, true
+	}
+	return 0, false
 }
 
 // Label returns the label for code. It panics if code is out of range, which
@@ -135,11 +242,5 @@ func (a *Attribute) decimalRankTable() []int {
 
 // Clone returns a deep copy of the attribute.
 func (a *Attribute) Clone() *Attribute {
-	c := &Attribute{name: a.name, labels: make([]string, len(a.labels)), codes: make(map[string]int, len(a.codes))}
-	copy(c.labels, a.labels)
-	//lint:ignore detrange copying a map into a map is order-independent
-	for k, v := range a.codes {
-		c.codes[k] = v
-	}
-	return c
+	return &Attribute{name: a.name, labels: slices.Clone(a.labels), index: slices.Clone(a.index), shift: a.shift}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ReadCSV reads a microdata table from CSV. The first record must be a header
@@ -90,16 +91,23 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 // in place. CRLF is read as LF, blank lines are skipped, a trailing '\r'
 // before EOF is dropped, and a quoted field may span lines. It is a port of
 // the Reader's readLine and readRecord that hands back each record as byte
-// ranges in one reused buffer instead of a fresh []string, and its syntax
-// errors are the same *csv.ParseError values. Like the Reader, it can keep
-// scanning after a syntax error: the next Scan starts on the line after the
-// one the error was found on.
+// ranges of the line read or of one reused buffer instead of a fresh
+// []string, and its syntax errors are the same *csv.ParseError values. Like
+// the Reader, it can keep scanning after a syntax error: the next Scan
+// starts on the line after the one the error was found on.
+//
+// A line with no '"' in it takes a quote-free path: it is one whole record,
+// its fields are the bytes between its commas, read in place with no copy,
+// and it cannot hold a syntax error. Only records with a quote go through
+// the ported field parser, which unescapes them into the reused buffer. Both
+// paths share readLine, so CRLF handling and line numbers are the same.
 type RecordScanner struct {
-	r       *bufio.Reader
-	numLine int    // physical lines read so far
-	raw     []byte // joins a line longer than the bufio buffer
-	record  []byte // the record's unescaped fields, back to back
-	ends    []int  // ends[i] is the end offset of field i in record
+	r         *bufio.Reader
+	numLine   int    // physical lines read so far
+	raw       []byte // joins a line longer than the bufio buffer
+	unescaped []byte // holds the fields of a record with a quote
+	record    []byte // the record's fields, one separator byte apart
+	ends      []int  // ends[i] is the end offset of field i in record
 }
 
 // NewRecordScanner returns a scanner reading records from r.
@@ -115,9 +123,17 @@ func (s *RecordScanner) Fields() int { return len(s.ends) }
 func (s *RecordScanner) Field(i int) []byte {
 	start := 0
 	if i > 0 {
-		start = s.ends[i-1]
+		start = s.ends[i-1] + 1
 	}
 	return s.record[start:s.ends[i]]
+}
+
+// endField ends the field being unescaped into record and writes a
+// separator byte after it, so the fields are laid out as on a quote-free
+// line, whose record is the line itself.
+func (s *RecordScanner) endField() {
+	s.ends = append(s.ends, len(s.record))
+	s.record = append(s.record, ',')
 }
 
 // readLine reads the next line with its trailing newline, which is omitted
@@ -167,10 +183,28 @@ func (s *RecordScanner) Scan() (int, error) {
 		return s.numLine, errRead
 	}
 
-	var err error
 	recLine := s.numLine
-	s.record = s.record[:0]
 	s.ends = s.ends[:0]
+	if bytes.IndexByte(line, '"') < 0 {
+		// Quote-free record: the line is the record, its fields the bytes
+		// between commas.
+		s.record = line[:len(line)-lengthNL(line)]
+		n := bytes.Count(s.record, []byte{','})
+		ends := slices.Grow(s.ends, n+1)[:n+1]
+		k := 0
+		for i, c := range s.record {
+			ends[k] = i // overwritten until the comma ending field k
+			if c == ',' {
+				k++
+			}
+		}
+		ends[n] = len(s.record)
+		s.ends = ends
+		return recLine, errRead
+	}
+
+	s.record = s.unescaped[:0]
+	var err error
 	posLine, col := s.numLine, 1 // position of the next unread byte
 parseField:
 	for {
@@ -188,7 +222,7 @@ parseField:
 				break parseField
 			}
 			s.record = append(s.record, field...)
-			s.ends = append(s.ends, len(s.record))
+			s.endField()
 			if i >= 0 {
 				line = line[i+1:]
 				col += i + 1
@@ -216,11 +250,11 @@ parseField:
 					// `",` ends the field.
 					line = line[1:]
 					col++
-					s.ends = append(s.ends, len(s.record))
+					s.endField()
 					continue parseField
 				case lengthNL(line) == len(line):
 					// `"\n` ends the record.
-					s.ends = append(s.ends, len(s.record))
+					s.endField()
 					break parseField
 				default:
 					err = &csv.ParseError{StartLine: recLine, Line: s.numLine, Column: col - 1, Err: csv.ErrQuote}
@@ -247,11 +281,12 @@ parseField:
 					err = &csv.ParseError{StartLine: recLine, Line: posLine, Column: col, Err: csv.ErrQuote}
 					break parseField
 				}
-				s.ends = append(s.ends, len(s.record))
+				s.endField()
 				break parseField
 			}
 		}
 	}
+	s.unescaped = s.record
 	if err == nil {
 		err = errRead
 	}

@@ -166,6 +166,14 @@ var differentialSeeds = []string{
 	"A,B,S,X,X\n1,2,x,3,4\n",                         // duplicate unselected column
 	"A,B,S\n" + strings.Repeat("a", 5000) + ",2,x\n", // record longer than the buffer
 	"A,B,S\n\"" + strings.Repeat("q\r\n", 2000) + "\",2,x\r\n",
+	// Quote-free lines and lines with a quote side by side, so records move
+	// between the scanner's two paths.
+	"A,B,S\n1,2,x\n3,\"a\nb\nc\",y\n5,6,z\n",               // quoted field spanning lines between quote-free ones
+	"A,B,S\r\n1,2,x\r\n3,\"4\",y\r\n5,6,z\r\n",             // CRLF on quote-free lines
+	"A,B,S\n1,2,x\n\"3\",4,y\n5,6,z\r",                     // trailing \r at EOF on a quote-free line
+	"A,B,S\n\n1,2,x\n\n\n\"3\",4,y\n\n5,6,z\n\n",           // blank lines between records
+	"A,B,S\n" + strings.Repeat("ab,", 3000) + "x\n1,2,y\n", // quote-free line longer than the buffer
+	"A,B,S\n,,\n,\"\",\n,,",                                // empty fields on both paths
 }
 
 // fuzzCorpus returns the inputs of FuzzReadCSV's checked-in corpus.
@@ -217,12 +225,14 @@ func FuzzReadCSVDifferential(f *testing.F) {
 // scannerStreamSeeds put a syntax error in the middle of a record stream,
 // so the records after it must come out of both readers the same way.
 var scannerStreamSeeds = []string{
-	"A,B,S\n1,2,x\n\"a\"b,2,x\n3,4,y\n",         // bad quote mid-stream
-	"A,B,S\n1,a\"b,x\n\n3,4,y\r\n5,6,z\n",       // bare quote mid-stream
-	"A,B,S\n1,\"x\ny\"z,s\n3,4,y\n\"ok\",5,6\n", // bad quote inside a multi-line field
-	"A,B,S\n1,2,x\n\"a\nb\"\"c,2,x\n3,4\n",      // escaped quote then a missing close
-	"A,B,S\n1,2,x\n3,\"4\n5,6,z\n",              // EOF inside a quote after good records
-	"1,a\"b\n\"c\"d\n\"e\n",                     // every record broken
+	"A,B,S\n1,2,x\n\"a\"b,2,x\n3,4,y\n",                // bad quote mid-stream
+	"A,B,S\n1,a\"b,x\n\n3,4,y\r\n5,6,z\n",              // bare quote mid-stream
+	"A,B,S\n1,\"x\ny\"z,s\n3,4,y\n\"ok\",5,6\n",        // bad quote inside a multi-line field
+	"A,B,S\n1,2,x\n\"a\nb\"\"c,2,x\n3,4\n",             // escaped quote then a missing close
+	"A,B,S\n1,2,x\n3,\"4\n5,6,z\n",                     // EOF inside a quote after good records
+	"1,a\"b\n\"c\"d\n\"e\n",                            // every record broken
+	"A,B,S\n1,2,x\n12,ab\"cd,x\n3,4,y\n",               // bare quote in an otherwise quote-free line
+	"A,B,S\r\n1,\"x\r\ny\",z\r\n2,b\"c,x\r\n3,4,y\r\n", // multi-line field, then a bare quote, over CRLF
 }
 
 // FuzzRecordScannerDifferential checks the record scanner against

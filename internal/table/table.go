@@ -417,7 +417,7 @@ func (t *Table) GroupByQI() [][]int {
 // decimal-string rank (tables cached per attribute — see decimalRankTable),
 // so comparing rank vectors attribute by attribute is exactly the
 // lexicographic QI-key order (the ',' separator sorts below every digit,
-// which is the same shorter-number-first rule compareDecimal applies). The
+// which is the same shorter-number-first rule decimalRanks follows). The
 // ranks of a row are packed in column order, the first attribute highest,
 // into as few 64-bit words as the schema needs (one for every SAL/OCC
 // shape), and radixSortPairs sorts the rows, starting from table order, by
@@ -537,16 +537,22 @@ func GroupBySignature(n int, appendKey func(i int, key []byte) []byte) [][]int {
 }
 
 // decimalRanks returns rank[code] = position of code among 0..c-1 ordered by
-// decimal representation ("10" before "2", "9" before "90").
+// decimal representation ("10" before "2", "9" before "90"). That order is a
+// preorder walk of the decimal digit trie: "0", then "1", "10", "100", ...,
+// "11", ..., up to "9", ..., so it takes O(c) steps and no comparison sort.
 func decimalRanks(c int) []int {
-	order := make([]int, c)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, compareDecimal)
 	rank := make([]int, c)
-	for pos, code := range order {
-		rank[code] = pos
+	v := 1 // rank[0] = 0: no other representation starts with '0'
+	for pos := 1; pos < c; pos++ {
+		rank[v] = pos
+		if v*10 < c {
+			v *= 10 // descend to the first child
+			continue
+		}
+		for v%10 == 9 || v+1 >= c {
+			v /= 10 // climb past last children and the end of the domain
+		}
+		v++ // next sibling
 	}
 	return rank
 }
@@ -558,42 +564,6 @@ func bitsFor(c int) int {
 		b++
 	}
 	return b
-}
-
-// compareDecimal compares the decimal representations of two non-negative
-// integers lexicographically (e.g. 10 sorts before 2, 9 before 90) using
-// only integer arithmetic.
-func compareDecimal(a, b int) int {
-	if a == b {
-		return 0
-	}
-	da, db := decimalDigits(a), decimalDigits(b)
-	sa, sb := a, b
-	for i := da; i < db; i++ {
-		sa *= 10
-	}
-	for i := db; i < da; i++ {
-		sb *= 10
-	}
-	switch {
-	case sa < sb:
-		return -1
-	case sa > sb:
-		return 1
-	case da < db:
-		return -1 // equal after scaling: a's representation prefixes b's
-	default:
-		return 1
-	}
-}
-
-func decimalDigits(v int) int {
-	d := 1
-	for v >= 10 {
-		v /= 10
-		d++
-	}
-	return d
 }
 
 // Project returns a zero-copy projection containing only the QI columns

@@ -321,20 +321,6 @@ func TestGroupByQIMemoNotInherited(t *testing.T) {
 	}
 }
 
-func TestCompareDecimal(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{0, 0, 0}, {5, 5, 0}, {1, 2, -1}, {2, 1, 1},
-		{10, 2, -1}, {2, 10, 1}, // "10" < "2"
-		{9, 90, -1}, {90, 9, 1}, // prefix sorts first
-		{100, 12, -1}, {19, 2, -1}, {21, 199, 1},
-	}
-	for _, c := range cases {
-		if got := compareDecimal(c.a, c.b); got != c.want {
-			t.Errorf("compareDecimal(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestBitsFor(t *testing.T) {
 	cases := []struct{ c, want int }{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {256, 8}, {257, 9}}
 	for _, c := range cases {
