@@ -11,7 +11,7 @@ CORE_BENCH := BenchmarkAnonymize|BenchmarkPhase3Heavy|BenchmarkTPCore|BenchmarkT
 TABLE_BENCH := BenchmarkTableOps|BenchmarkGroupByQI|BenchmarkRadixSortPairs|BenchmarkAnonymize$$
 TABLE_PKGS := . ./internal/table
 
-.PHONY: all build test race bench bench-table bench-table-smoke bench-smoke differential loadtest-smoke loadtest-sustained profile bench-compare fmt vet lint run-server smoke-server docs-lint fuzz-smoke cover
+.PHONY: all build test race bench bench-table bench-table-smoke bench-smoke differential profile fmt vet lint run-server smoke-server docs-lint fuzz-smoke cover
 
 all: build test lint
 
@@ -65,32 +65,12 @@ bench-table-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCHFLAGS) ./...
 
-# loadtest-smoke drives the ldivload smoke scenario — thousands of concurrent
-# submit -> poll -> result -> verify round trips against an in-process ldivd —
-# for LOADTEST_DURATION (default 10s), writes bench/BENCH_smoke.json, gates it
-# against the checked-in baseline in bench/baselines/, and proves the gate by
-# injecting a synthetic regression that must fail. CI runs this on every push.
-loadtest-smoke:
-	./scripts/loadtest-smoke.sh
-
 # profile captures pprof CPU + allocation profiles of the SAL-4 timing
 # workload (ldivbench -fig 4) under bench/profiles/ and validates them with
 # `go tool pprof -top`; EXPERIMENTS.md's before/after tables cite its output.
 # Smoke mode (CI): `make profile PROFILE_ROWS=2000`.
 profile:
 	PROFILE_FIG=$(PROFILE_FIG) PROFILE_ROWS=$(PROFILE_ROWS) PROFILE_OUT=$(PROFILE_OUT) ./scripts/profile.sh
-
-# loadtest-sustained runs the sustained load-test scenario (steady concurrent
-# load, larger tables than smoke) and gates it against the checked-in
-# baseline, exactly like loadtest-smoke does for the smoke scenario:
-# `make loadtest-sustained` or, in CI, with a short LOADTEST_DURATION.
-loadtest-sustained:
-	LOADTEST_SCENARIO=sustained ./scripts/loadtest-smoke.sh
-
-# bench-compare gates two BENCH_*.json files produced by cmd/ldivload:
-# `make bench-compare OLD=bench/baselines/BENCH_smoke.json NEW=bench/BENCH_smoke.json`
-bench-compare:
-	./scripts/bench-compare.sh $(OLD) $(NEW)
 
 fmt:
 	gofmt -l .

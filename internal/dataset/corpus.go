@@ -6,9 +6,10 @@ package dataset
 // self-check that asserts the family's advertised property actually holds on
 // the generated table, so a drifting generator fails loudly instead of
 // silently weakening every downstream harness. Three layers consume the
-// catalog: the differential audit harness (internal/audit), the load-test
-// scenario catalog (internal/loadgen / cmd/ldivload), and the CLI surface
-// (cmd/datagen -dataset, cmd/ldivbench -fig corpus).
+// catalog: the differential audit harness (internal/audit), the CLI surface
+// (cmd/datagen -dataset, cmd/ldivbench -fig corpus), and the library's
+// ldiv.GenerateDataset, which the examples and the service tests draw their
+// tables from.
 //
 // scripts/docs-lint.sh cross-checks the README "Scenario corpus" table
 // against the Name literals in this file; keep every Family definition here.
@@ -25,7 +26,7 @@ import (
 // Family is one named dataset family of the scenario corpus.
 type Family struct {
 	// Name is the registry key (lower-case kebab), stable across PRs: it is
-	// part of the datagen/ldivload CLI contract and the README catalog.
+	// part of the datagen/ldivbench CLI contract and the README catalog.
 	Name string
 	// Description is the one-line property statement shown by -list flags
 	// and the README catalog.

@@ -30,10 +30,6 @@ var deterministicPkgs = map[string]bool{
 	// The linking-attack audit reports float confidences summed over QI
 	// profiles; a map walk there made MeanConfidence differ run to run.
 	"attack": true,
-	// The load harness's BENCH_*.json files are diffed between PRs; map-order
-	// or clock nondeterminism there churns the benchmark trajectory. Its
-	// deliberate wall-clock reads carry reasoned lint:ignore directives.
-	"loadgen": true,
 	// The scenario-corpus generators promise same-seed byte-identical tables
 	// (the differential harness and the fuzz seeds depend on it), so their
 	// generate and Validate paths must stay free of map ranges and clocks.

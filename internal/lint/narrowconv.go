@@ -21,9 +21,6 @@ var narrowconvPkgs = map[string]bool{
 	// The store's journal replay folds attacker-adjacent on-disk bytes into
 	// attempt counts and byte offsets; a narrowing there corrupts recovery.
 	"store": true,
-	// The load harness aggregates round-trip and error counts whose whole
-	// point is regression detection; a silent narrowing would fake a perf win.
-	"loadgen": true,
 	// The corpus validators assert count-based properties (frequencies,
 	// group sizes, eligibility margins); a narrowed count would let a
 	// malformed family self-certify.

@@ -153,7 +153,10 @@ func runtimeFromMS(ms float64) time.Duration {
 // timeout. On timeout the attempt fails permanently — the algorithms are
 // deterministic, so a rerun would take just as long. The compute goroutine
 // cannot be interrupted mid-algorithm; it is abandoned and its result
-// discarded, which leaks at most one core until it finishes.
+// discarded, while the worker goes on to the next job. So N timed-out jobs
+// leave N goroutines computing, up to N cores, until each algorithm returns
+// on its own. Bounding that needs the algorithms to observe cancellation
+// (ROADMAP open item 2).
 func (s *Server) runWithDeadline(t *ldiv.Table, p Params) (*Result, error) {
 	if s.cfg.JobTimeout <= 0 {
 		return s.runSafely(t, p)
