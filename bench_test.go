@@ -485,7 +485,7 @@ func BenchmarkGroupByQI(b *testing.B) {
 
 // BenchmarkAnonymize is the TP-core suite of the flat-array rewrite: small
 // and large l crossed with uniform and Zipf-skewed sensitive distributions
-// over a 10k-row synthetic table (see experiment.BenchTable). Allocation
+// over a 10k-row synthetic table (see dataset.BenchTable). Allocation
 // counts are reported because the flat core's headline win is replacing the
 // map-based inverted lists with dense arrays; EXPERIMENTS.md records the
 // before/after numbers against the retained map-based reference. Each
@@ -495,7 +495,7 @@ func BenchmarkAnonymize(b *testing.B) {
 	for _, l := range []int{2, 6, 10} {
 		for _, skew := range []string{"uniform", "zipf"} {
 			b.Run(fmt.Sprintf("l=%d/%s", l, skew), func(b *testing.B) {
-				tbl := experiment.BenchTable(10000, 3, 8, 48, skew == "zipf", 1)
+				tbl := dataset.BenchTable(10000, 3, 8, 48, skew == "zipf", 1)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -509,13 +509,13 @@ func BenchmarkAnonymize(b *testing.B) {
 }
 
 // BenchmarkPhase3Heavy anonymizes a table engineered to enter phase three
-// (see experiment.Phase3HeavyTable) with phase two disabled, so the cost of
+// (see dataset.Phase3HeavyTable) with phase two disabled, so the cost of
 // the greedy-cover rounds — the code the inverted group index accelerates —
 // is visible in isolation rather than amortized away by the phase-1/2 exits
 // of census-like data. Each iteration anonymizes a fresh copy of the table.
 func BenchmarkPhase3Heavy(b *testing.B) {
 	const l = 6
-	tbl := experiment.Phase3HeavyTable(l, 40, 60)
+	tbl := dataset.Phase3HeavyTable(l, 40, 60)
 	anon := &core.Anonymizer{L: l, SkipPhaseTwo: true}
 	res, err := anon.Anonymize(tbl)
 	if err != nil {

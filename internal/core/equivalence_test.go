@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"ldiv/internal/core"
+	"ldiv/internal/dataset"
 	"ldiv/internal/eligibility"
-	"ldiv/internal/experiment"
 	"ldiv/internal/table"
 )
 
@@ -116,7 +116,7 @@ func TestFlatCoreMatchesMapReference(t *testing.T) {
 func TestFlatCoreMatchesReferenceOnPhase3Heavy(t *testing.T) {
 	for _, l := range []int{3, 4, 6, 8} {
 		for _, shape := range [][2]int{{8, 12}, {40, 60}} {
-			tbl := experiment.Phase3HeavyTable(l, shape[0], shape[1])
+			tbl := dataset.Phase3HeavyTable(l, shape[0], shape[1])
 			if !eligibility.IsEligibleTable(tbl, l) {
 				t.Fatalf("l=%d shape=%v: table not eligible", l, shape)
 			}
@@ -142,7 +142,7 @@ func TestFlatCoreMatchesReferenceOnPhase3Heavy(t *testing.T) {
 // TestFlatCoreMatchesReferenceOnCensus checks equivalence on the harness's
 // realistic census workload (the data every figure runs on).
 func TestFlatCoreMatchesReferenceOnCensus(t *testing.T) {
-	tbl := experiment.BenchTable(4000, 3, 8, 48, true, 7)
+	tbl := dataset.BenchTable(4000, 3, 8, 48, true, 7)
 	for _, l := range []int{2, 6, 10} {
 		flat, err := core.NewAnonymizer(l).Anonymize(tbl)
 		if err != nil {
@@ -190,9 +190,9 @@ func BenchmarkTPCore(b *testing.B) {
 	}
 	for _, l := range []int{2, 6, 10} {
 		for _, skew := range []string{"uniform", "zipf"} {
-			tbl := experiment.BenchTable(10000, 3, 8, 48, skew == "zipf", 1)
+			tbl := dataset.BenchTable(10000, 3, 8, 48, skew == "zipf", 1)
 			b.Run(fmt.Sprintf("l=%d/%s", l, skew), func(b *testing.B) { run(b, tbl, l, false) })
 		}
 	}
-	b.Run("phase3heavy/l=6", func(b *testing.B) { run(b, experiment.Phase3HeavyTable(6, 40, 60), 6, true) })
+	b.Run("phase3heavy/l=6", func(b *testing.B) { run(b, dataset.Phase3HeavyTable(6, 40, 60), 6, true) })
 }

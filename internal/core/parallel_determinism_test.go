@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"ldiv/internal/core"
+	"ldiv/internal/dataset"
 	"ldiv/internal/eligibility"
-	"ldiv/internal/experiment"
 	"ldiv/internal/hilbert"
 	"ldiv/internal/table"
 )
@@ -96,11 +96,11 @@ func TestParallelCoreDeterministicPhase3Heavy(t *testing.T) {
 		{6, 40, 60},
 		{4, 80, 100},
 	} {
-		tbl := experiment.Phase3HeavyTable(tc.l, tc.a, tc.b)
+		tbl := dataset.Phase3HeavyTable(tc.l, tc.a, tc.b)
 		assertWorkerInvariance(t, fmt.Sprintf("phase3heavy l=%d a=%d b=%d", tc.l, tc.a, tc.b), tbl, tc.l)
 	}
 	for _, l := range []int{2, 6, 10} {
-		tbl := experiment.BenchTable(4000, 3, 8, 48, true, 7)
+		tbl := dataset.BenchTable(4000, 3, 8, 48, true, 7)
 		assertWorkerInvariance(t, fmt.Sprintf("census l=%d", l), tbl, l)
 	}
 }

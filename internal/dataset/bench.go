@@ -1,6 +1,7 @@
-package experiment
+package dataset
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ldiv/internal/table"
@@ -13,14 +14,14 @@ import (
 // (s = 1.5, v = 16) whose head value stays under ~7% of the rows, so the
 // table remains l-eligible for every l the benchmarks sweep (l <= 10).
 //
-// The figure harness feeds the core census projections; this generator
-// instead controls SA skew and group granularity directly, which is what the
-// core's flat data structures are sensitive to.
+// Unlike the census families, this generator controls SA skew and group
+// granularity directly, which is what the TP core's flat data structures are
+// sensitive to. It is not a catalog family.
 func BenchTable(rows, d, qiDom, saDom int, zipf bool, seed int64) *table.Table {
 	rng := rand.New(rand.NewSource(seed))
 	qi := make([]*table.Attribute, d)
 	for j := range qi {
-		qi[j] = table.NewIntegerAttribute("Q"+string(rune('A'+j)), qiDom)
+		qi[j] = table.NewIntegerAttribute(fmt.Sprintf("Q%c", 'A'+j), qiDom)
 	}
 	t := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)))
 	var z *rand.Zipf
@@ -62,6 +63,7 @@ func BenchTable(rows, d, qiDom, saDom int, zipf bool, seed int64) *table.Table {
 // sheddingGroups and coverGroups so the table stays l-eligible overall (the
 // wide filler pool dilutes the heavy values); the defaults used by the
 // benchmarks (l=6, 40, 60) give a ~2200-row table that runs multiple rounds.
+// Like BenchTable, it is not a catalog family.
 func Phase3HeavyTable(l, sheddingGroups, coverGroups int) *table.Table {
 	p := l - 2
 	if p < 2 {

@@ -1,11 +1,11 @@
-package experiment_test
+package dataset_test
 
 import (
 	"testing"
 
 	"ldiv/internal/core"
+	"ldiv/internal/dataset"
 	"ldiv/internal/eligibility"
-	"ldiv/internal/experiment"
 )
 
 // TestBenchTableEligibility pins down the contract the BenchmarkAnonymize
@@ -13,20 +13,20 @@ import (
 // Zipf variant is genuinely skewed, and generation is deterministic.
 func TestBenchTableEligibility(t *testing.T) {
 	for _, zipf := range []bool{false, true} {
-		tbl := experiment.BenchTable(10000, 3, 8, 48, zipf, 1)
+		tbl := dataset.BenchTable(10000, 3, 8, 48, zipf, 1)
 		if tbl.Len() != 10000 || tbl.Dimensions() != 3 {
 			t.Fatalf("zipf=%v: got %d rows, %d dims", zipf, tbl.Len(), tbl.Dimensions())
 		}
 		if maxL := eligibility.MaxEligibleL(tbl); maxL < 10 {
 			t.Errorf("zipf=%v: MaxEligibleL = %d, want >= 10", zipf, maxL)
 		}
-		again := experiment.BenchTable(10000, 3, 8, 48, zipf, 1)
+		again := dataset.BenchTable(10000, 3, 8, 48, zipf, 1)
 		if !tbl.Equal(again) {
 			t.Errorf("zipf=%v: generation is not deterministic", zipf)
 		}
 	}
-	uniform := experiment.BenchTable(10000, 3, 8, 48, false, 1)
-	skewed := experiment.BenchTable(10000, 3, 8, 48, true, 1)
+	uniform := dataset.BenchTable(10000, 3, 8, 48, false, 1)
+	skewed := dataset.BenchTable(10000, 3, 8, 48, true, 1)
 	if mu, ms := eligibility.MaxFrequencyCounts(uniform.SACounts()), eligibility.MaxFrequencyCounts(skewed.SACounts()); ms < 2*mu {
 		t.Errorf("zipf head count %d is not at least twice the uniform head count %d", ms, mu)
 	}
@@ -38,7 +38,7 @@ func TestBenchTableEligibility(t *testing.T) {
 // partition.
 func TestPhase3HeavyTableEntersPhase3(t *testing.T) {
 	for _, l := range []int{4, 6, 8} {
-		tbl := experiment.Phase3HeavyTable(l, 40, 60)
+		tbl := dataset.Phase3HeavyTable(l, 40, 60)
 		if !eligibility.IsEligibleCounts(tbl.SACounts(), l) {
 			t.Fatalf("l=%d: engineered table is not l-eligible overall", l)
 		}

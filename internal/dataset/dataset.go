@@ -223,7 +223,7 @@ func Projections(d int) ([][]string, error) {
 }
 
 // ProjectionTables builds the SAL-d (or OCC-d) family from a base table:
-// one projected table per size-d attribute subset, each a zero-copy view
+// one projected table per size-d attribute subset, each a zero-copy projection
 // sharing the base table's column storage. If maxTables > 0,
 // only the first maxTables projections are returned (the order is
 // deterministic), which the experiment harness uses to bound running time.

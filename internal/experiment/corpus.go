@@ -9,21 +9,9 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"ldiv/internal/dataset"
 	"ldiv/internal/eligibility"
-	"ldiv/internal/incognito"
-	"ldiv/internal/metrics"
-	"ldiv/internal/mondrian"
-	"ldiv/internal/table"
-)
-
-// Additional algorithm names understood by the corpus sweep (the paper
-// figures only compare Hilbert, TP, TP+ and TDS).
-const (
-	AlgoMondrian  = "Mondrian"
-	AlgoIncognito = "Incognito"
 )
 
 // CorpusAlgorithms is the display order of the corpus sweep's series: every
@@ -36,48 +24,6 @@ var CorpusAlgorithms = []string{AlgoTP, AlgoTPPlus, AlgoHilbert, AlgoTDS, AlgoMo
 // single-group and near-duplicate stress the group structure rather than the
 // diversity depth), so the sweep stays in the regime every family supports.
 var corpusLs = []int{2, 3, 4}
-
-// RunMondrian executes the Mondrian baseline on t and returns its outcome.
-func RunMondrian(t *table.Table, l int, withKL bool) (RunOutcome, error) {
-	//lint:ignore detrange elapsed wall-clock time is itself the reported figure; it never shapes release bytes
-	start := time.Now()
-	gen, err := mondrian.NewAnonymizer(l).Generalize(t)
-	if err != nil {
-		return RunOutcome{}, err
-	}
-	elapsed := time.Since(start)
-	out := RunOutcome{Algorithm: AlgoMondrian, Stars: gen.Stars(), SuppressedTuples: gen.SuppressedTuples(), Elapsed: elapsed}
-	if withKL {
-		kl, err := metrics.KLDivergence(gen)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		out.KL = kl
-	}
-	return out, nil
-}
-
-// RunIncognito executes the full-domain Incognito baseline on t and returns
-// its outcome.
-func RunIncognito(t *table.Table, l int, withKL bool) (RunOutcome, error) {
-	//lint:ignore detrange elapsed wall-clock time is itself the reported figure; it never shapes release bytes
-	start := time.Now()
-	res, err := incognito.NewAnonymizer(l).Anonymize(t)
-	if err != nil {
-		return RunOutcome{}, err
-	}
-	elapsed := time.Since(start)
-	gen := res.Generalized
-	out := RunOutcome{Algorithm: AlgoIncognito, Stars: gen.Stars(), SuppressedTuples: gen.SuppressedTuples(), Elapsed: elapsed}
-	if withKL {
-		kl, err := metrics.KLDivergence(gen)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		out.KL = kl
-	}
-	return out, nil
-}
 
 // corpusRows returns the per-family cardinality of the corpus sweep: the
 // configured CorpusRows, defaulting to 6000. The sweep crosses every family

@@ -8,22 +8,21 @@ import (
 	"fmt"
 	"time"
 
-	"ldiv/internal/core"
+	"ldiv"
 	"ldiv/internal/dataset"
-	"ldiv/internal/generalize"
-	"ldiv/internal/hilbert"
-	"ldiv/internal/metrics"
 	"ldiv/internal/parallel"
 	"ldiv/internal/table"
-	"ldiv/internal/tds"
 )
 
-// Algorithm names understood by the harness.
+// Algorithm display names: the series names of the figures. Each lowercases
+// to its canonical name in ldiv.Algorithms, which is how Run dispatches it.
 const (
-	AlgoHilbert = "Hilbert"
-	AlgoTP      = "TP"
-	AlgoTPPlus  = "TP+"
-	AlgoTDS     = "TDS"
+	AlgoHilbert   = "Hilbert"
+	AlgoTP        = "TP"
+	AlgoTPPlus    = "TP+"
+	AlgoTDS       = "TDS"
+	AlgoMondrian  = "Mondrian"
+	AlgoIncognito = "Incognito"
 )
 
 // Config controls the scale of the reproduction. The paper's configuration is
@@ -168,44 +167,26 @@ type RunOutcome struct {
 	TerminationPhase int // 0 for algorithms without phases
 }
 
-// RunSuppression executes one suppression algorithm (Hilbert, TP or TP+) on t
-// and returns its outcome. The KL field is filled only when withKL is true
-// (it is comparatively expensive).
-func RunSuppression(t *table.Table, l int, algo string, withKL bool) (RunOutcome, error) {
+// Run executes the named algorithm (a display name such as "TP+", or any
+// spelling ldiv.CanonicalAlgorithm accepts) on t through ldiv.AnonymizeWith,
+// the dispatch the CLI and the job server share. Elapsed covers the
+// algorithm through its published release; the KL field is filled only when
+// withKL is true (it is comparatively expensive). For TDS, Mondrian and
+// Incognito, Stars counts the cells generalized past a leaf. Unknown names
+// are rejected, and so is anatomy, whose two-table release
+// ldiv.AnonymizeWith refuses.
+func Run(t *table.Table, l int, algo string, withKL bool) (RunOutcome, error) {
+	name, ok := ldiv.CanonicalAlgorithm(algo)
+	if !ok {
+		return RunOutcome{}, fmt.Errorf("experiment: unknown algorithm %q", algo)
+	}
 	//lint:ignore detrange elapsed wall-clock time is itself the reported figure; it never shapes release bytes
 	start := time.Now()
-	var p *generalize.Partition
-	phase := 0
-	switch algo {
-	case AlgoTP:
-		res, err := core.NewAnonymizer(l).Anonymize(t)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		p = res.Partition()
-		phase = res.TerminationPhase
-	case AlgoTPPlus:
-		res, err := core.NewHybridAnonymizer(l, hilbert.NewSuppressor(l)).Anonymize(t)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		p = res.Partition()
-		phase = res.TerminationPhase
-	case AlgoHilbert:
-		part, err := hilbert.NewSuppressor(l).Anonymize(t)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		p = part
-	default:
-		return RunOutcome{}, fmt.Errorf("experiment: unknown suppression algorithm %q", algo)
-	}
-	elapsed := time.Since(start)
-
-	gen, err := generalize.Suppress(t, p)
+	gen, phase, err := ldiv.AnonymizeWith(t, l, name)
 	if err != nil {
 		return RunOutcome{}, err
 	}
+	elapsed := time.Since(start)
 	out := RunOutcome{
 		Algorithm:        algo,
 		Stars:            gen.Stars(),
@@ -214,33 +195,9 @@ func RunSuppression(t *table.Table, l int, algo string, withKL bool) (RunOutcome
 		TerminationPhase: phase,
 	}
 	if withKL {
-		kl, err := metrics.KLDivergence(gen)
-		if err != nil {
+		if out.KL, err = ldiv.KLDivergence(gen); err != nil {
 			return RunOutcome{}, err
 		}
-		out.KL = kl
-	}
-	return out, nil
-}
-
-// RunTDS executes the TDS baseline on t and returns its outcome (stars are
-// not meaningful for single-dimensional generalization and are reported as
-// the number of cells generalized past a leaf).
-func RunTDS(t *table.Table, l int, withKL bool) (RunOutcome, error) {
-	//lint:ignore detrange elapsed wall-clock time is itself the reported figure; it never shapes release bytes
-	start := time.Now()
-	gen, err := tds.NewAnonymizer(l).Anonymize(t)
-	if err != nil {
-		return RunOutcome{}, err
-	}
-	elapsed := time.Since(start)
-	out := RunOutcome{Algorithm: AlgoTDS, Stars: gen.Stars(), SuppressedTuples: gen.SuppressedTuples(), Elapsed: elapsed}
-	if withKL {
-		kl, err := metrics.KLDivergence(gen)
-		if err != nil {
-			return RunOutcome{}, err
-		}
-		out.KL = kl
 	}
 	return out, nil
 }
@@ -268,17 +225,7 @@ type cell struct {
 // aggregation downstream is deterministic for every worker count).
 func (r *Runner) runCells(cells []cell, withKL bool) ([]RunOutcome, error) {
 	return parallel.Map(r.Cfg.Workers, len(cells), func(i int) (RunOutcome, error) {
-		c := cells[i]
-		switch c.algo {
-		case AlgoTDS:
-			return RunTDS(c.table, c.l, withKL)
-		case AlgoMondrian:
-			return RunMondrian(c.table, c.l, withKL)
-		case AlgoIncognito:
-			return RunIncognito(c.table, c.l, withKL)
-		default:
-			return RunSuppression(c.table, c.l, c.algo, withKL)
-		}
+		return Run(cells[i].table, cells[i].l, cells[i].algo, withKL)
 	})
 }
 

@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"ldiv"
 )
 
 // tinyConfig keeps the harness tests fast while exercising every code path.
@@ -39,7 +41,11 @@ func TestRunnerCachesBaseTables(t *testing.T) {
 	}
 }
 
-func TestRunSuppressionAndTDS(t *testing.T) {
+// TestRun checks the harness's one dispatch: every algorithm the figures
+// and the corpus sweep name runs, its stars and termination phase are those
+// of ldiv.AnonymizeWith on the same table, and names without a generalized
+// release are rejected.
+func TestRun(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	sal, err := r.SAL()
 	if err != nil {
@@ -49,24 +55,32 @@ func TestRunSuppressionAndTDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{AlgoHilbert, AlgoTP, AlgoTPPlus} {
-		out, err := RunSuppression(proj, 3, algo, false)
+	var names []string
+	for _, list := range [][]string{starAlgorithms, klAlgorithms, CorpusAlgorithms} {
+		names = append(names, list...)
+	}
+	const l = 3
+	for _, algo := range names {
+		out, err := Run(proj, l, algo, true)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if out.Stars < 0 || out.SuppressedTuples < 0 || out.Elapsed <= 0 {
+		gen, phase, err := ldiv.AnonymizeWith(proj, l, strings.ToLower(algo))
+		if err != nil {
+			t.Fatalf("%s: library: %v", algo, err)
+		}
+		if out.Stars != gen.Stars() || out.TerminationPhase != phase {
+			t.Errorf("%s: Run gave stars %d phase %d, ldiv.AnonymizeWith stars %d phase %d",
+				algo, out.Stars, out.TerminationPhase, gen.Stars(), phase)
+		}
+		if out.Algorithm != algo || out.SuppressedTuples < 0 || out.KL < 0 || out.Elapsed <= 0 {
 			t.Errorf("%s: implausible outcome %+v", algo, out)
 		}
 	}
-	if _, err := RunSuppression(proj, 3, "bogus", false); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	out, err := RunTDS(proj, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.KL < 0 {
-		t.Errorf("TDS KL = %g", out.KL)
+	for _, bad := range []string{"anatomy", "bogus"} {
+		if _, err := Run(proj, l, bad, false); err == nil {
+			t.Errorf("Run accepted %q", bad)
+		}
 	}
 }
 

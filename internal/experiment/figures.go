@@ -50,48 +50,43 @@ func (r *Runner) Figure6() ([]Figure, error) {
 			XLabel: "dataset cardinality n",
 			YLabel: "seconds",
 		}
-		// Samples are drawn serially up front: Table.Sample consumes the
-		// per-size rng sequentially over the projections, and every
-		// algorithm measures the exact same samples. Each sample is a
-		// zero-copy view (a row-index slice over the projection's columns),
-		// so this loop allocates index arrays, never microdata.
-		samples := make([][]*table.Table, len(r.Cfg.SampleSizes))
-		for si, size := range r.Cfg.SampleSizes {
+		series := make([]Series, len(starAlgorithms))
+		for i, algo := range starAlgorithms {
+			series[i] = Series{Name: algo}
+		}
+		// One size at a time: its samples are dense copies, so drawing
+		// every size up front would hold all of them at once. Each size's
+		// rng is consumed serially over the projections, and every
+		// algorithm measures the exact same samples.
+		for _, size := range r.Cfg.SampleSizes {
 			rng := rand.New(rand.NewSource(r.Cfg.Seed + int64(size)))
-			samples[si] = make([]*table.Table, len(tables))
+			samples := make([]*table.Table, len(tables))
 			for ti, t := range tables {
 				if size < t.Len() {
-					samples[si][ti] = t.Sample(size, rng)
+					samples[ti] = t.Sample(size, rng)
 				} else {
-					samples[si][ti] = t
+					samples[ti] = t
 				}
 			}
-		}
-		var cells []cell
-		for _, algo := range starAlgorithms {
-			for si := range r.Cfg.SampleSizes {
-				for _, sample := range samples[si] {
+			var cells []cell
+			for _, algo := range starAlgorithms {
+				for _, sample := range samples {
 					cells = append(cells, cell{table: sample, l: l, algo: algo})
 				}
 			}
-		}
-		outs, err := r.runCells(cells, false)
-		if err != nil {
-			return nil, err
-		}
-		next := 0
-		for _, algo := range starAlgorithms {
-			s := Series{Name: algo}
-			for si, size := range r.Cfg.SampleSizes {
-				_, _, secs, _, err := averageOutcome(outs[next : next+len(samples[si])])
+			outs, err := r.runCells(cells, false)
+			if err != nil {
+				return nil, err
+			}
+			for i := range starAlgorithms {
+				_, _, secs, _, err := averageOutcome(outs[i*len(samples) : (i+1)*len(samples)])
 				if err != nil {
 					return nil, err
 				}
-				next += len(samples[si])
-				s.Points = append(s.Points, Point{X: float64(size), Y: secs})
+				series[i].Points = append(series[i].Points, Point{X: float64(size), Y: secs})
 			}
-			fig.Series = append(fig.Series, s)
 		}
+		fig.Series = series
 		figures = append(figures, fig)
 	}
 	return figures, nil

@@ -307,7 +307,8 @@ func StarsForPartition(t *table.Table, p *Partition) int {
 	return stars
 }
 
-// GroupLabel renders a human-readable listing of a generalized table.
+// String renders a human-readable listing of a generalized table, truncated
+// after 50 rows.
 func (g *Generalized) String() string {
 	s := ""
 	sch := g.Source.Schema()

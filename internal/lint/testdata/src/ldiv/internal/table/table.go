@@ -7,19 +7,23 @@ package table
 
 // Table is the stub of the arena-backed columnar table.
 type Table struct {
-	rows []int32
+	n int
 }
 
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.n }
 
-// View-producing methods: zero-copy results sharing the receiver's storage.
+// Copying methods: the result owns its rows and accepts appends.
 
-func (t *Table) Subset(rows []int) *Table                    { return &Table{} }
-func (t *Table) Sample(k int) *Table                         { return &Table{} }
+func (t *Table) Subset(rows []int) *Table { return &Table{} }
+func (t *Table) Sample(k int) *Table      { return &Table{} }
+
+// View-producing methods: zero-copy projections sharing the receiver's
+// column storage.
+
 func (t *Table) Project(cols []int) (*Table, error)          { return &Table{}, nil }
 func (t *Table) ProjectNames(names []string) (*Table, error) { return &Table{}, nil }
 
-// Clone rematerializes a view into an owning table.
+// Clone materializes a projection into an owning table.
 
 func (t *Table) Clone() *Table { return &Table{} }
 

@@ -1,6 +1,6 @@
 // Package viewsafety is golden testdata for the viewsafety analyzer:
-// mutation of zero-copy views, retention of borrowed column slices across
-// appends, and writes into the memoized GroupByQI result.
+// mutation of zero-copy projections, retention of borrowed column slices
+// across appends, and writes into the memoized GroupByQI result.
 package viewsafety
 
 import (
@@ -10,16 +10,14 @@ import (
 	"ldiv/internal/table"
 )
 
-// appendToSubset: mutating a view variable.
-func appendToSubset(t *table.Table, rows []int) {
-	v := t.Subset(rows)
-	v.MustAppendRow([]int{1}, 2) // want `MustAppendRow on v, which may be a zero-copy view \(assigned from Subset`
-}
-
-// appendToSample: same through Sample.
-func appendToSample(t *table.Table) error {
-	s := t.Sample(10)
-	return s.AppendRow([]int{1}, 2) // want `AppendRow on s, which may be a zero-copy view \(assigned from Sample`
+// appendToNamedProjection: mutating a projection variable.
+func appendToNamedProjection(t *table.Table, names []string) error {
+	v, err := t.ProjectNames(names)
+	if err != nil {
+		return err
+	}
+	v.MustAppendRow([]int{1}, 2) // want `MustAppendRow on v, which may be a zero-copy projection \(assigned from ProjectNames`
+	return nil
 }
 
 // appendToProjection: the (*Table, error) form taints the table result.
@@ -28,36 +26,50 @@ func appendToProjection(t *table.Table) error {
 	if err != nil {
 		return err
 	}
-	return p.AppendLabels([]string{"a"}, "b") // want `AppendLabels on p, which may be a zero-copy view \(assigned from Project`
+	return p.AppendLabels([]string{"a"}, "b") // want `AppendLabels on p, which may be a zero-copy projection \(assigned from Project`
 }
 
-// chainedAppend: mutation chained directly onto a view-producing call.
-func chainedAppend(t *table.Table, rows []int) {
-	t.Subset(rows).MustAppendRow([]int{1}, 2) // want `MustAppendRow on the result of Subset\(t\) mutates a zero-copy view`
-}
-
-// cloneMakesItSafe: Clone rematerializes, so appends are fine.
-func cloneMakesItSafe(t *table.Table, rows []int) {
+// appendToSubset: Subset and Sample copy their rows, so appends to their
+// results are fine, assigned or chained.
+func appendToSubset(t *table.Table, rows []int) error {
 	v := t.Subset(rows)
+	v.MustAppendRow([]int{1}, 2)
+	t.Subset(rows).MustAppendRow([]int{1}, 2)
+	return t.Sample(10).AppendRow([]int{1}, 2)
+}
+
+// cloneMakesItSafe: Clone materializes, so appends are fine.
+func cloneMakesItSafe(t *table.Table) error {
+	v, err := t.Project([]int{0})
+	if err != nil {
+		return err
+	}
 	v = v.Clone()
 	v.MustAppendRow([]int{1}, 2)
+	return nil
 }
 
 // chainedClone: Clone directly in the chain is fine too.
-func chainedClone(t *table.Table, rows []int) {
-	t.Subset(rows).Clone().MustAppendRow([]int{1}, 2)
+func chainedClone(t *table.Table, names []string) error {
+	p, err := t.ProjectNames(names)
+	if err != nil {
+		return err
+	}
+	p.Clone().MustAppendRow([]int{1}, 2)
+	return nil
 }
 
-// appendToOwner: appending to a table that is not a view is fine.
+// appendToOwner: appending to a table that shares no columns is fine.
 func appendToOwner(t *table.Table) {
 	t.MustAppendRow([]int{1}, 2)
 }
 
-// suppressedViewAppend: a justified suppression silences the diagnostic.
-func suppressedViewAppend(t *table.Table, rows []int) {
-	v := t.Subset(rows)
+// suppressedProjectionAppend: a justified suppression silences the
+// diagnostic.
+func suppressedProjectionAppend(t *table.Table) {
+	p, _ := t.Project([]int{0})
 	//lint:ignore viewsafety exercised only on owning tables in this test helper
-	v.MustAppendRow([]int{1}, 2)
+	p.MustAppendRow([]int{1}, 2)
 }
 
 // staleColAfterAppend: a borrowed column slice used after an append on the

@@ -7,19 +7,18 @@ import (
 	"ldiv/internal/lint/analysis"
 )
 
-// viewProducing are the table.Table methods that return zero-copy views
-// (or share column storage) of their receiver; mutating their result — or
-// retaining slices borrowed from any table across an append — is undefined
-// under the columnar core's invariant 0.
+// viewProducing are the table.Table methods whose result shares its
+// receiver's column storage (Subset and Sample copy); mutating their result —
+// or retaining slices borrowed from any table across an append — is undefined
+// under the columnar core's invariant 0. Both return (*Table, error), so a
+// mutation cannot chain straight onto the call.
 var viewProducing = map[string]bool{
-	"Subset":       true,
-	"Sample":       true,
 	"Project":      true,
 	"ProjectNames": true,
 }
 
-// mutating are the append-path methods. They reject views at runtime and
-// invalidate previously borrowed column slices on growth.
+// mutating are the append-path methods. They reject projections at runtime
+// and invalidate previously borrowed column slices on growth.
 var mutating = map[string]bool{
 	"AppendRow":     true,
 	"MustAppendRow": true,
@@ -41,21 +40,23 @@ var inPlaceSorts = map[string]map[string]bool{
 }
 
 // Viewsafety encodes PR 4's invariant 0 for the columnar table core: tables
-// are append-only before publication and read-only after; views share
+// are append-only before publication and read-only after; projections share
 // storage and must never be mutated; borrowed column slices do not survive
 // appends; the memoized grouping is shared by every caller and never
 // written.
 var Viewsafety = &analysis.Analyzer{
 	Name: "viewsafety",
-	Doc: `viewsafety: forbid mutating table views or the shared grouping, and retaining column slices across appends
+	Doc: `viewsafety: forbid mutating table projections or the shared grouping, and retaining column slices across appends
 
-table.Subset, Sample, Project, and ProjectNames return zero-copy views that
-share the receiver's column arena, and Col()/SAView() hand out slices aliasing
-it. This analyzer flags, within a function:
+table.Project and ProjectNames return zero-copy projections that share the
+receiver's column arena, and Col()/SAView() hand out slices aliasing it
+(Subset and Sample copy their rows and are not tracked). This analyzer flags,
+within a function:
 
-  - calls to AppendRow/MustAppendRow/AppendLabels on a value obtained from a
-    view-producing method without an intervening Clone() — appends to views
-    fail at runtime, and Clone is the documented way to rematerialize;
+  - calls to AppendRow/MustAppendRow/AppendLabels on a value obtained from
+    Project/ProjectNames without an intervening Clone() — appends to
+    projections fail at runtime, and Clone is the documented way to
+    materialize one;
   - uses of a Col()/SAView() slice after an append on the table it was
     borrowed from — growth re-carves the arena, so the slice may alias dead
     storage;
@@ -96,7 +97,7 @@ func tableMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name 
 // checkViewMutation walks the body in source order, tainting variables
 // assigned from view-producing calls and clearing the taint on any
 // reassignment (Clone() included), then flags mutating calls on tainted
-// variables or directly on a view-producing call's result.
+// variables.
 func checkViewMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	viewVars := make(map[types.Object]string) // tainted var -> producing method
@@ -109,18 +110,10 @@ func checkViewMutation(pass *analysis.Pass, body *ast.BlockStmt) {
 			if !ok || !mutating[name] {
 				return true
 			}
-			// t.Subset(rows).MustAppendRow(...): mutation chained straight
-			// onto a view.
-			if inner, innerName, isCall := chainedTableCall(info, recv); isCall && viewProducing[innerName] {
-				pass.Reportf(n.Pos(),
-					"%s on the result of %s mutates a zero-copy view: Clone() it first (views reject appends) — or suppress with //lint:ignore viewsafety <reason>",
-					name, innerName+"("+types.ExprString(inner)+")")
-				return true
-			}
 			if id, isID := ast.Unparen(recv).(*ast.Ident); isID {
 				if producer, tainted := viewVars[info.ObjectOf(id)]; tainted {
 					pass.Reportf(n.Pos(),
-						"%s on %s, which may be a zero-copy view (assigned from %s without an intervening Clone): views reject appends — Clone() before mutating, or suppress with //lint:ignore viewsafety <reason>",
+						"%s on %s, which may be a zero-copy projection (assigned from %s without an intervening Clone): projections reject appends — Clone() before mutating, or suppress with //lint:ignore viewsafety <reason>",
 						name, id.Name, producer)
 				}
 			}
@@ -140,7 +133,7 @@ func chainedTableCall(info *types.Info, recv ast.Expr) (inner ast.Expr, name str
 }
 
 // recordViewAssign updates the taint map for one assignment: variables
-// assigned from Subset/Sample/Project/ProjectNames become tainted with the
+// assigned from Project/ProjectNames become tainted with the
 // producing method's name; any other assignment (including from Clone)
 // clears them.
 func recordViewAssign(info *types.Info, asg *ast.AssignStmt, viewVars map[types.Object]string) {

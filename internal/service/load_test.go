@@ -192,8 +192,7 @@ type loadDriver struct {
 	hold     chan struct{}
 	holdOnce sync.Once
 
-	checked     atomic.Int64 // releases fetched and checked
-	storeErrors atomic.Int64 // submissions answered 500 store_error and retried
+	checked atomic.Int64 // releases fetched and checked
 
 	mu       sync.Mutex
 	failures []loadFailure
@@ -264,8 +263,8 @@ func driveServiceLoad(t *testing.T, bodies []*loadBody, hooks loadHooks) []loadF
 		ts.Close()
 		s.Close()
 	}
-	t.Logf("%d jobs acknowledged, %d releases checked, %d queue_full and %d tenant_quota 429s, %d store_error 500s retried",
-		len(d.acked), d.checked.Load(), d.shed["queue_full"], d.shed["tenant_quota"], d.storeErrors.Load())
+	t.Logf("%d jobs acknowledged, %d releases checked, %d queue_full and %d tenant_quota 429s",
+		len(d.acked), d.checked.Load(), d.shed["queue_full"], d.shed["tenant_quota"])
 	if d.shed["queue_full"] == 0 || d.shed["tenant_quota"] == 0 {
 		d.fail(untyped429, "the run saw %d queue_full and %d tenant_quota 429s; it must see both",
 			d.shed["queue_full"], d.shed["tenant_quota"])
@@ -296,10 +295,8 @@ func (d *loadDriver) runTrips(ts *httptest.Server, trips []loadTrip) {
 // roundTrip submits one body until the server acknowledges it, then polls
 // the job to its end and checks its release. A 429 is retried: a queue_full
 // one after the held workers are let go, a tenant_quota one after moving the
-// clock on by its Retry-After. So is a 500 store_error, which acknowledges
-// nothing and leaves the retry to the client; concurrent submissions of one
-// body draw it today, when their body writes collide on the store's temp
-// file name.
+// clock on by its Retry-After. Any other answer, a 500 included, fails the
+// run.
 func (d *loadDriver) roundTrip(ts *httptest.Server, trip loadTrip) {
 	q := url.Values{"algo": {trip.algo}, "l": {strconv.Itoa(trip.body.l)},
 		"qi": {strings.Join(trip.body.qi, ",")}, "sa": {trip.body.sa}}
@@ -332,14 +329,6 @@ func (d *loadDriver) roundTrip(ts *httptest.Server, trip loadTrip) {
 			if code != "queue_full" {
 				d.clock.ms.Add(int64(secs) * 1000)
 			}
-			time.Sleep(time.Millisecond)
-		case http.StatusInternalServerError:
-			var e errorBody
-			if json.Unmarshal(body, &e) != nil || e.Error.Code != "store_error" {
-				d.fail(releaseDiffers, "%s: submit answered %d %q", trip, resp.StatusCode, body)
-				return
-			}
-			d.storeErrors.Add(1)
 			time.Sleep(time.Millisecond)
 		default:
 			d.fail(releaseDiffers, "%s: submit answered %d %q", trip, resp.StatusCode, body)

@@ -341,8 +341,8 @@ func splitList(s string) []string {
 
 // prepare parses the CSV body into a table, applies the projection, and
 // checks l-eligibility, so submissions fail fast with a typed error instead
-// of queueing doomed work. A projection starts as a zero-copy view but is
-// cloned before queueing: the view would pin the ingested table's whole
+// of queueing doomed work. A projection shares the ingested table's columns
+// and is cloned before queueing: it would pin the ingested table's whole
 // column arena (dropped columns included) for the job's queue+run lifetime,
 // and the dense clone of just the projected columns is what bounds a
 // backlog's resident memory.

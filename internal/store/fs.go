@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // File is the writable-file surface the store needs: sequential writes, an
@@ -89,31 +90,33 @@ func (OSFS) SyncDir(path string) error {
 
 // writeFileAtomic writes data to path via a temp file in the same directory:
 // write, fsync, rename, fsync the directory. A crash at any point leaves
-// either no file at path or the complete new content.
-func writeFileAtomic(fsys FS, path string, data []byte) error {
+// either no file at path or the complete new content. Each write gets its
+// own temp name, so concurrent writes of one path (two submissions of one
+// body, two jobs finishing under one key) never rename each other's file.
+func (s *Store) writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp := filepath.Join(dir, ".tmp-"+filepath.Base(path))
-	f, err := fsys.Create(tmp)
+	tmp := filepath.Join(dir, ".tmp-"+filepath.Base(path)+"-"+strconv.FormatUint(s.tmpSeq.Add(1), 10))
+	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		_ = fsys.Remove(tmp)
+		_ = s.fs.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		_ = fsys.Remove(tmp)
+		_ = s.fs.Remove(tmp)
 		return err
 	}
 	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
+		_ = s.fs.Remove(tmp)
 		return err
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
+	if err := s.fs.Rename(tmp, path); err != nil {
+		_ = s.fs.Remove(tmp)
 		return err
 	}
-	return fsys.SyncDir(dir)
+	return s.fs.SyncDir(dir)
 }

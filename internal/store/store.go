@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCorrupt marks stored bytes that failed their digest or parse check.
@@ -37,6 +38,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	journal File
+
+	tmpSeq atomic.Uint64 // numbers the temp files of writeFileAtomic
 }
 
 // Open creates (or reopens) the store under dir, replays the journal, and
@@ -132,7 +135,7 @@ func (s *Store) PutBody(body []byte) (string, error) {
 	if st, err := s.fs.Stat(path); err == nil && st.Size() == int64(len(body)) {
 		return digest, nil
 	}
-	if err := writeFileAtomic(s.fs, path, body); err != nil {
+	if err := s.writeFileAtomic(path, body); err != nil {
 		return "", fmt.Errorf("store: writing body %s: %w", digest, err)
 	}
 	return digest, nil
@@ -167,13 +170,13 @@ func (s *Store) PutResult(key string, csv, st []byte, metrics json.RawMessage) e
 	metaPath, csvPath, stPath := s.resultPaths(key)
 	csvSum := sha256.Sum256(csv)
 	meta := ResultMeta{CSVSHA256: hex.EncodeToString(csvSum[:]), Meta: metrics}
-	if err := writeFileAtomic(s.fs, csvPath, csv); err != nil {
+	if err := s.writeFileAtomic(csvPath, csv); err != nil {
 		return fmt.Errorf("store: writing result %s: %w", key, err)
 	}
 	if st != nil {
 		stSum := sha256.Sum256(st)
 		meta.STSHA256 = hex.EncodeToString(stSum[:])
-		if err := writeFileAtomic(s.fs, stPath, st); err != nil {
+		if err := s.writeFileAtomic(stPath, st); err != nil {
 			return fmt.Errorf("store: writing result st %s: %w", key, err)
 		}
 	}
@@ -181,7 +184,7 @@ func (s *Store) PutResult(key string, csv, st []byte, metrics json.RawMessage) e
 	if err != nil {
 		return fmt.Errorf("store: encoding result meta %s: %w", key, err)
 	}
-	if err := writeFileAtomic(s.fs, metaPath, encoded); err != nil {
+	if err := s.writeFileAtomic(metaPath, encoded); err != nil {
 		return fmt.Errorf("store: writing result meta %s: %w", key, err)
 	}
 	return nil

@@ -2,10 +2,15 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -242,6 +247,64 @@ func TestBodyRoundTripAndCorruption(t *testing.T) {
 	}
 	if _, err := s.GetBody(digest); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit-flipped body: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestConcurrentPutsOfOneFile has 8 goroutines write the same bodies and the
+// same result key at once, as two submissions of one CSV or two jobs
+// finishing under one key do. Every write must succeed: a temp name shared
+// between writers lets one rename the other's file away.
+func TestConcurrentPutsOfOneFile(t *testing.T) {
+	s, _, dir := openTemp(t, nil)
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf("Age,Disease\n%d,flu\n", i))
+	}
+	csv, st := []byte("a,b\n1,2\n"), []byte("g,d\n0,flu\n")
+	const writers = 8
+	start := make(chan struct{})
+	errs := make(chan error, writers*(len(bodies)+1))
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, body := range bodies {
+				if _, err := s.PutBody(body); err != nil {
+					errs <- err
+				}
+			}
+			if err := s.PutResult("k1", csv, st, json.RawMessage(`{"stars":3}`)); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, body := range bodies {
+		sum := sha256.Sum256(body)
+		if got, err := s.GetBody(hex.EncodeToString(sum[:])); err != nil || !bytes.Equal(got, body) {
+			t.Errorf("GetBody after concurrent puts = %q, %v", got, err)
+		}
+	}
+	if gotCSV, gotST, _, err := s.GetResult("k1"); err != nil || !bytes.Equal(gotCSV, csv) || !bytes.Equal(gotST, st) {
+		t.Errorf("GetResult after concurrent puts = %q, %q, %v", gotCSV, gotST, err)
+	}
+	for _, sub := range []string{"bodies", "results"} {
+		entries, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), ".tmp") {
+				t.Errorf("temp file left behind: %s/%s", sub, e.Name())
+			}
+		}
 	}
 }
 

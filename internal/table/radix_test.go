@@ -128,7 +128,7 @@ func groupByQIRef(tbl *Table) [][]int {
 }
 
 // TestGroupByQIRadixMatchesReference checks GroupByQI against the string-keyed
-// reference on schemas that pack into one, two and three rank words, on views,
+// reference on schemas that pack into one, two and three rank words, on subsets,
 // and on tiny and constant tables. Small value ranges force heavy key
 // duplication, which exercises the table-order tie-break.
 func TestGroupByQIRadixMatchesReference(t *testing.T) {

@@ -268,8 +268,9 @@ func TestColumnarMatchesReferenceCSV(t *testing.T) {
 	}
 }
 
-// TestViewSemantics pins the sharing rules down: views reject appends, stay
-// consistent when the parent keeps growing, and Clone rematerializes a dense
+// TestViewSemantics pins the sharing rules down: projections share their
+// parent's columns and reject appends, subsets own their rows and stay
+// consistent when the parent keeps growing, and Clone makes a dense
 // appendable copy.
 func TestViewSemantics(t *testing.T) {
 	schema := MustSchema([]*Attribute{NewIntegerAttribute("A", 8)}, NewIntegerAttribute("S", 4))
@@ -278,15 +279,6 @@ func TestViewSemantics(t *testing.T) {
 		tbl.MustAppendRow([]int{i % 8}, i%4)
 	}
 	v := tbl.Subset([]int{9, 3, 3, 0})
-	if !v.IsView() || tbl.IsView() {
-		t.Fatalf("IsView: view=%v table=%v", v.IsView(), tbl.IsView())
-	}
-	if err := v.AppendRow([]int{1}, 1); err == nil {
-		t.Fatal("view accepted an append")
-	}
-	if err := v.AppendLabels([]string{"1"}, "1"); err == nil {
-		t.Fatal("view accepted a label append")
-	}
 	p, err := tbl.Project([]int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -295,40 +287,43 @@ func TestViewSemantics(t *testing.T) {
 		t.Fatal("projection accepted an append")
 	}
 
-	// Growing the parent must not disturb existing views, whether or not the
-	// arena reallocates.
+	// Growing the parent must not disturb existing subsets, whether or not
+	// the arena reallocates.
 	wantQI := []int{1, 3, 3, 0}
 	wantSA := []int{1, 3, 3, 0}
 	for i := 0; i < 500; i++ {
 		tbl.MustAppendRow([]int{i % 8}, i%4)
 		for k := range wantQI {
 			if v.QIAt(k, 0) != wantQI[k] || v.SAValue(k) != wantSA[k] {
-				t.Fatalf("after %d appends: view row %d = (%d,%d), want (%d,%d)",
+				t.Fatalf("after %d appends: subset row %d = (%d,%d), want (%d,%d)",
 					i+1, k, v.QIAt(k, 0), v.SAValue(k), wantQI[k], wantSA[k])
 			}
 		}
 	}
 
 	c := v.Clone()
-	if c.IsView() {
-		t.Fatal("Clone returned a view")
-	}
 	if !c.Equal(v) {
-		t.Fatal("Clone differs from the view it copied")
+		t.Fatal("Clone differs from the subset it copied")
 	}
 	if err := c.AppendRow([]int{1}, 1); err != nil {
 		t.Fatalf("clone rejected append: %v", err)
 	}
 
-	// Subset of a subset composes the indirections.
+	// Subset of a subset picks rows of the subset.
 	vv := v.Subset([]int{3, 1})
 	if vv.QIAt(0, 0) != 0 || vv.QIAt(1, 0) != 3 {
 		t.Fatalf("nested subset rows = %d,%d, want 0,3", vv.QIAt(0, 0), vv.QIAt(1, 0))
 	}
+	if err := vv.AppendRow([]int{1}, 1); err != nil {
+		t.Fatalf("subset rejected append: %v", err)
+	}
+	if vv.Len() != 3 || v.Len() != 4 {
+		t.Fatalf("after appending to the nested subset: lens %d and %d, want 3 and 4", vv.Len(), v.Len())
+	}
 }
 
-// TestConcurrentViewReads exercises read-only concurrency over one table and
-// many views: the race detector (make race / CI) fails this test if any read
+// TestConcurrentViewReads exercises read-only concurrency over one table, its
+// samples and its projections: the race detector (make race / CI) fails this test if any read
 // path mutates shared state.
 func TestConcurrentViewReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

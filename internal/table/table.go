@@ -22,24 +22,22 @@ import (
 // algorithm layer (grouping, curve sorting, recoding, bucketization) leans
 // on. Codes are dictionary indices and therefore always fit in an int32.
 //
-// A Table is either dense (it owns its rows: row i lives at physical index i
-// of every column) or a zero-copy view: it shares another table's columns and
-// carries a row-index slice mapping logical to physical rows. Subset, Sample
-// and Project return views; views satisfy the whole read API but reject
-// appends, as does any table whose columns are shared. Concurrent read-only
-// use of a table and any number of views over it is safe.
+// Every table is dense: row i lives at index i of every column. Subset and
+// Sample gather their rows into a new table that owns them. Project shares
+// the original's column storage instead, so a projection is copy-free but
+// rejects appends. Concurrent read-only use of a table and any number of
+// projections of it is safe.
 //
 // The zero value is not usable; construct tables with New.
 type Table struct {
 	schema *Schema
-	cols   [][]int32 // cols[j][p] = QI j code of physical row p
-	sa     []int     // sa[p] = SA code of physical row p
-	rows   []int32   // view indirection: logical i -> physical rows[i]; nil = dense
+	cols   [][]int32 // cols[j][i] = QI j code of row i
+	sa     []int     // sa[i] = SA code of row i
 	cap    int       // arena capacity in rows (owning tables only)
 	shared bool      // columns are shared with another table; appends are rejected
 
 	// groups memoizes GroupByQI; nil until the first call, cleared by push.
-	// Views and projections are new Tables, so they never see their
+	// Subsets and projections are new Tables, so they never see their
 	// parent's memo.
 	groups atomic.Pointer[[][]int]
 }
@@ -83,47 +81,14 @@ func (t *Table) grow(minRows int) {
 	t.cap = newCap
 }
 
-// view wraps the table's columns with a logical row-index slice. The column
-// headers are copied and capped at the current length: the parent mutates
-// its own headers on every append (and re-points them on arena growth), so
-// sharing the header array would let those writes race with view reads.
-// With pinned headers the view only ever touches rows that existed at
-// creation, which are never mutated again.
-func (t *Table) view(rows []int32) *Table {
-	n := len(t.sa)
-	cols := make([][]int32, len(t.cols))
-	for j, c := range t.cols {
-		cols[j] = c[:n:n]
-	}
-	return &Table{schema: t.schema, cols: cols, sa: t.sa[:n:n], rows: rows, shared: true}
-}
-
-// physical maps a logical row index to its physical index in the columns.
-func (t *Table) physical(i int) int {
-	if t.rows != nil {
-		return int(t.rows[i])
-	}
-	return i
-}
-
 // Schema returns the table's schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
 // Len returns n, the number of rows.
-func (t *Table) Len() int {
-	if t.rows != nil {
-		return len(t.rows)
-	}
-	return len(t.sa)
-}
+func (t *Table) Len() int { return len(t.sa) }
 
 // Dimensions returns d, the number of QI attributes.
 func (t *Table) Dimensions() int { return t.schema.Dimensions() }
-
-// IsView reports whether the table is a zero-copy view over another table's
-// rows (as returned by Subset and Sample). Views share storage with their
-// parent and reject appends.
-func (t *Table) IsView() bool { return t.rows != nil }
 
 // push appends already-validated codes to the columns and drops the
 // memoized grouping, which no longer covers every row.
@@ -144,11 +109,11 @@ func (t *Table) push(qi []int, sa int) {
 
 // AppendRow adds a row given already-encoded QI codes and SA code. The QI
 // codes are copied into the columns. Codes are validated against the
-// attribute domains. Appending to a view (or to any table sharing another
+// attribute domains. Appending to a projection (any table sharing another
 // table's columns) is an error.
 func (t *Table) AppendRow(qi []int, sa int) error {
 	if t.shared {
-		return fmt.Errorf("table: cannot append to a view or a table with shared columns")
+		return fmt.Errorf("table: cannot append to a projection, whose columns are shared")
 	}
 	d := t.schema.Dimensions()
 	if len(qi) != d {
@@ -179,7 +144,7 @@ func (t *Table) MustAppendRow(qi []int, sa int) {
 // attribute domains) as needed.
 func (t *Table) AppendLabels(qi []string, sa string) error {
 	if t.shared {
-		return fmt.Errorf("table: cannot append to a view or a table with shared columns")
+		return fmt.Errorf("table: cannot append to a projection, whose columns are shared")
 	}
 	d := t.schema.Dimensions()
 	if len(qi) != d {
@@ -199,43 +164,20 @@ func (t *Table) AppendLabels(qi []string, sa string) error {
 
 // QIAt returns the code of the j-th QI attribute of row i. It is the scalar
 // accessor of the columnar layout; column-oriented scans should prefer Col.
-func (t *Table) QIAt(i, j int) int {
-	if t.rows != nil {
-		i = int(t.rows[i])
-	}
-	return int(t.cols[j][i])
-}
+func (t *Table) QIAt(i, j int) int { return int(t.cols[j][i]) }
 
-// Col returns QI column j in logical row order as a dense []int32 of length
-// Len. For a table that owns its rows it is zero-copy — the returned slice
-// aliases the column storage and must be treated as read-only — while views
-// gather a fresh copy. Hot scans hoist Col(j) out of their row loops so the
-// inner loop is a linear walk over one contiguous array.
+// Col returns QI column j as a []int32 of length Len. It is zero-copy: the
+// returned slice aliases the column storage and must be treated as
+// read-only. Hot scans hoist Col(j) out of their row loops so the inner loop
+// is a linear walk over one contiguous array.
 func (t *Table) Col(j int) []int32 {
-	if t.rows == nil {
-		n := len(t.sa)
-		return t.cols[j][:n:n]
-	}
-	col := t.cols[j]
-	out := make([]int32, len(t.rows))
-	for i, p := range t.rows {
-		out[i] = col[p]
-	}
-	return out
+	n := len(t.sa)
+	return t.cols[j][:n:n]
 }
 
-// SAView returns the SA codes in logical row order. Like Col it is zero-copy
-// (and read-only) for tables that own their rows, gathered for views.
-func (t *Table) SAView() []int {
-	if t.rows == nil {
-		return t.sa[:len(t.sa):len(t.sa)]
-	}
-	out := make([]int, len(t.rows))
-	for i, p := range t.rows {
-		out[i] = t.sa[p]
-	}
-	return out
-}
+// SAView returns the SA codes in row order. Like Col it is zero-copy and
+// read-only.
+func (t *Table) SAView() []int { return t.sa[:len(t.sa):len(t.sa)] }
 
 // QIRows returns an allocation-free iterator over (row index, QI codes). The
 // codes slice is reused between iterations and must not be retained.
@@ -244,12 +186,8 @@ func (t *Table) QIRows() iter.Seq2[int, []int32] {
 		buf := make([]int32, len(t.cols))
 		n := t.Len()
 		for i := 0; i < n; i++ {
-			p := i
-			if t.rows != nil {
-				p = int(t.rows[i])
-			}
 			for j, col := range t.cols {
-				buf[j] = col[p]
+				buf[j] = col[i]
 			}
 			if !yield(i, buf) {
 				return
@@ -259,7 +197,7 @@ func (t *Table) QIRows() iter.Seq2[int, []int32] {
 }
 
 // SAValue returns the sensitive value code of row i.
-func (t *Table) SAValue(i int) int { return t.sa[t.physical(i)] }
+func (t *Table) SAValue(i int) int { return t.sa[i] }
 
 // QILabel returns the label of the j-th QI attribute of row i.
 func (t *Table) QILabel(i, j int) string { return t.schema.QI(j).Label(t.QIAt(i, j)) }
@@ -295,14 +233,8 @@ func (t *Table) SADomainSize() int { return t.schema.SA().Cardinality() }
 // the flat-array counterpart of SAHistogram.
 func (t *Table) SACounts() []int {
 	counts := make([]int, t.SADomainSize())
-	if t.rows == nil {
-		for _, v := range t.sa {
-			counts[v]++
-		}
-	} else {
-		for _, p := range t.rows {
-			counts[t.sa[p]]++
-		}
+	for _, v := range t.sa {
+		counts[v]++
 	}
 	return counts
 }
@@ -342,23 +274,13 @@ func (c *SAGroupCounter) Count(rows []int) (counts []int32, vals []int32) {
 		c.counts[v] = 0
 	}
 	c.vals = c.vals[:0]
-	t := c.t
-	if t.rows == nil {
-		for _, r := range rows {
-			v := t.sa[r]
-			if c.counts[v] == 0 {
-				c.vals = append(c.vals, int32(v))
-			}
-			c.counts[v]++
+	sa := c.t.sa
+	for _, r := range rows {
+		v := sa[r]
+		if c.counts[v] == 0 {
+			c.vals = append(c.vals, int32(v))
 		}
-	} else {
-		for _, r := range rows {
-			v := t.sa[t.rows[r]]
-			if c.counts[v] == 0 {
-				c.vals = append(c.vals, int32(v))
-			}
-			c.counts[v]++
-		}
+		c.counts[v]++
 	}
 	return c.counts, c.vals
 }
@@ -380,13 +302,12 @@ func (c *SAGroupCounter) MaxCount(rows []int) int {
 // QIKey returns a string key identifying the exact combination of QI values
 // of row i. Rows with equal keys have identical QI values on every attribute.
 func (t *Table) QIKey(i int) string {
-	p := t.physical(i)
 	b := make([]byte, 0, 4*len(t.cols))
 	for j, col := range t.cols {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(col[p]), 10)
+		b = strconv.AppendInt(b, int64(col[i]), 10)
 	}
 	return string(b)
 }
@@ -456,7 +377,7 @@ func (t *Table) groupByQI() [][]int {
 		// identical QI vectors so the cut sees every attribute.
 		run := uint64(0)
 		for i := 1; i < n; i++ {
-			pa, pb := t.physical(rows[i-1]), t.physical(rows[i])
+			pa, pb := rows[i-1], rows[i]
 			for _, col := range t.cols {
 				if col[pa] != col[pb] {
 					run++
@@ -474,19 +395,14 @@ func (t *Table) groupByQI() [][]int {
 // shifted left by shift, into keys[i]; order == nil means table order.
 func (t *Table) packRank(keys []uint64, order []int, j int, rank []int, shift uint) {
 	col := t.cols[j]
-	switch {
-	case order != nil:
+	if order != nil {
 		for i, r := range order {
-			keys[i] |= uint64(rank[col[t.physical(r)]]) << shift
+			keys[i] |= uint64(rank[col[r]]) << shift
 		}
-	case t.rows != nil:
-		for i, p := range t.rows {
-			keys[i] |= uint64(rank[col[p]]) << shift
-		}
-	default:
-		for i := range keys {
-			keys[i] |= uint64(rank[col[i]]) << shift
-		}
+		return
+	}
+	for i := range keys {
+		keys[i] |= uint64(rank[col[i]]) << shift
 	}
 }
 
@@ -568,17 +484,16 @@ func bitsFor(c int) int {
 
 // Project returns a zero-copy projection containing only the QI columns
 // given by cols (in that order) plus the sensitive attribute. The projection
-// shares the original table's column storage (and, for views, the row-index
-// slice), so no cell is copied; it is read-only like every sharing table.
-// Row order is preserved and attribute dictionaries are shared with the
-// original table.
+// shares the original table's column storage, so no cell is copied, and it
+// rejects appends. Row order is preserved and attribute dictionaries are
+// shared with the original table.
 func (t *Table) Project(cols []int) (*Table, error) {
 	ps, err := t.schema.Project(cols)
 	if err != nil {
 		return nil, err
 	}
 	n := len(t.sa)
-	p := &Table{schema: ps, cols: make([][]int32, len(cols)), sa: t.sa[:n:n], rows: t.rows, shared: true}
+	p := &Table{schema: ps, cols: make([][]int32, len(cols)), sa: t.sa[:n:n], shared: true}
 	for j, c := range cols {
 		p.cols[j] = t.cols[c][:n:n]
 	}
@@ -598,9 +513,9 @@ func (t *Table) ProjectNames(names []string) (*Table, error) {
 	return t.Project(cols)
 }
 
-// Sample returns a view of k rows drawn without replacement using rng. If
-// k >= n the view covers the whole table. No cells are copied; the schema and
-// column storage are shared.
+// Sample returns a new table of k rows drawn without replacement using rng,
+// in table order. If k >= n it holds every row. Like Subset, it copies the
+// codes and shares the schema.
 func (t *Table) Sample(k int, rng *rand.Rand) *Table {
 	n := t.Len()
 	if k > n {
@@ -611,28 +526,39 @@ func (t *Table) Sample(k int, rng *rand.Rand) *Table {
 	return t.Subset(perm)
 }
 
-// Subset returns a zero-copy view containing only the given row indices, in
-// the given order. The schema and column storage are shared; only the row
-// index slice is allocated. It panics if a row index is out of range, like
-// the indexing it replaces.
+// Subset returns a new dense table holding the given rows, in the given
+// order. The schema is shared and the codes are copied, so the result owns
+// its rows and accepts appends. It panics if a row index is out of range,
+// like the indexing it replaces.
 func (t *Table) Subset(rows []int) *Table {
 	n := t.Len()
-	idx := make([]int32, len(rows))
-	for i, r := range rows {
+	for _, r := range rows {
 		if r < 0 || r >= n {
 			panic(fmt.Sprintf("table: Subset row %d out of range [0,%d)", r, n))
 		}
-		if t.rows != nil {
-			idx[i] = t.rows[r]
-		} else {
-			idx[i] = int32(r)
-		}
 	}
-	return t.view(idx)
+	k := len(rows)
+	out := New(t.schema)
+	if k == 0 {
+		return out
+	}
+	out.grow(k)
+	for j, src := range t.cols {
+		dst := out.cols[j][:k]
+		for i, r := range rows {
+			dst[i] = src[r]
+		}
+		out.cols[j] = dst
+	}
+	out.sa = make([]int, k)
+	for i, r := range rows {
+		out.sa[i] = t.sa[r]
+	}
+	return out
 }
 
-// Clone returns a dense deep copy of the table (materializing views) sharing
-// the same schema. The copy owns its rows and accepts appends.
+// Clone returns a deep copy of the table sharing the same schema. The copy
+// owns its rows and accepts appends, even when t is a projection.
 func (t *Table) Clone() *Table {
 	n := t.Len()
 	out := New(t.schema)
@@ -640,26 +566,11 @@ func (t *Table) Clone() *Table {
 		return out
 	}
 	out.grow(n)
-	for j := range t.cols {
-		dst := out.cols[j][:n]
-		src := t.cols[j]
-		if t.rows == nil {
-			copy(dst, src[:n])
-		} else {
-			for i, p := range t.rows {
-				dst[i] = src[p]
-			}
-		}
-		out.cols[j] = dst
+	for j, src := range t.cols {
+		out.cols[j] = out.cols[j][:n]
+		copy(out.cols[j], src[:n])
 	}
-	out.sa = make([]int, n)
-	if t.rows == nil {
-		copy(out.sa, t.sa)
-	} else {
-		for i, p := range t.rows {
-			out.sa[i] = t.sa[p]
-		}
-	}
+	out.sa = slices.Clone(t.sa)
 	return out
 }
 

@@ -295,7 +295,7 @@ func TestGroupByQIMemoClearedByAppend(t *testing.T) {
 	}
 }
 
-// TestGroupByQIMemoNotInherited groups a table first, then groups its views
+// TestGroupByQIMemoNotInherited groups a table first, then groups its subsets
 // and projections: each must return its own grouping, not the parent's.
 func TestGroupByQIMemoNotInherited(t *testing.T) {
 	tbl := hospitalTable(t)
