@@ -9,6 +9,7 @@ package ldiv_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -699,15 +700,28 @@ var (
 )
 
 // BenchmarkReadCSV measures CSV ingest of the publish-wide input: 100k rows
-// of 8 columns, each field interned into its attribute's dictionary.
+// of 8 columns, each field interned into its attribute's dictionary. "sized"
+// reads a *bytes.Reader, whose length sizes the table once, as ldivd and
+// perfbench do; "stream" reads through a reader that hides its length, so
+// the table grows by doubling.
 func BenchmarkReadCSV(b *testing.B) {
 	in, _ := wideCSV(b)
-	b.SetBytes(int64(len(in)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ldiv.ReadCSV(bytes.NewReader(in), dataset.QINames, "Income"); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		reader func() io.Reader
+	}{
+		{"sized", func() io.Reader { return bytes.NewReader(in) }},
+		{"stream", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(in)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ldiv.ReadCSV(bc.reader(), dataset.QINames, "Income"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -760,18 +774,35 @@ func BenchmarkTPWide(b *testing.B) {
 }
 
 // BenchmarkWriteGeneralizedCSV measures rendering the publish-wide tp
-// release (100k rows, 7 QI columns, l=4) as CSV.
+// release (100k rows, 7 QI columns, l=4) as CSV. "reuse" renders into one
+// buffer reset each iteration; "fresh" renders into a new bytes.Buffer each
+// iteration, as ldivd and perfbench do, so its allocation shows the
+// buffer's growth, or the reservation that replaces it.
 func BenchmarkWriteGeneralizedCSV(b *testing.B) {
 	_, gen := wideCSV(b)
-	var out bytes.Buffer
-	b.ReportAllocs()
-	for b.Loop() {
-		out.Reset()
-		if err := ldiv.WriteGeneralizedCSV(&out, gen); err != nil {
-			b.Fatal(err)
+	b.Run("reuse", func(b *testing.B) {
+		var out bytes.Buffer
+		b.ReportAllocs()
+		for b.Loop() {
+			out.Reset()
+			if err := ldiv.WriteGeneralizedCSV(&out, gen); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	b.SetBytes(int64(out.Len()))
+		b.SetBytes(int64(out.Len()))
+	})
+	b.Run("fresh", func(b *testing.B) {
+		var size int
+		b.ReportAllocs()
+		for b.Loop() {
+			var out bytes.Buffer
+			if err := ldiv.WriteGeneralizedCSV(&out, gen); err != nil {
+				b.Fatal(err)
+			}
+			size = out.Len()
+		}
+		b.SetBytes(int64(size))
+	})
 }
 
 // BenchmarkVerifyGeneralized measures the release auditor on the

@@ -19,7 +19,9 @@ import (
 // Every row of a group prints the same QI prefix, so each group's prefix is
 // rendered once from the group's cell slice, and each SA label once; both go
 // through csv.Writer, so quoting is encoding/csv's. The rows are then
-// assembled from those pieces.
+// assembled from those pieces. Their spans add up to the release's exact
+// size, which a w with a Grow(int) method (*bytes.Buffer, *strings.Builder)
+// reserves before the first write.
 func WriteCSV(w io.Writer, g *Generalized) error {
 	src := g.Source
 	sch := src.Schema()
@@ -35,6 +37,7 @@ func WriteCSV(w io.Writer, g *Generalized) error {
 		return [2]int{start, text.Len()}
 	}
 	header := render(append(sch.QINames(), sch.SA().Name()))
+	size := header[1] - header[0]
 
 	// prefix[gi] is the span of group gi's QI cells, its record's '\n'
 	// turned into the ',' that precedes the SA field.
@@ -46,6 +49,7 @@ func WriteCSV(w io.Writer, g *Generalized) error {
 			rec[j] = c.Label(sch.QI(j))
 		}
 		prefix[gi] = render(rec)
+		size += len(rows) * (prefix[gi][1] - prefix[gi][0])
 		for _, r := range rows {
 			groupOf[r] = int32(gi)
 		}
@@ -56,10 +60,14 @@ func WriteCSV(w io.Writer, g *Generalized) error {
 		if saSpan[v][1] == 0 {
 			saSpan[v] = render([]string{sch.SA().Label(v)})
 		}
+		size += saSpan[v][1] - saSpan[v][0]
 	}
 	b := text.Bytes()
 	for _, p := range prefix {
 		b[p[1]-1] = ','
+	}
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(size)
 	}
 
 	bw := bufio.NewWriter(w)

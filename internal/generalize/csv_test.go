@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -77,5 +78,45 @@ func TestWriteCSVRendersSubDomains(t *testing.T) {
 	// the comma inside the sub-domain label.
 	if !strings.Contains(b.String(), "\"{30,40}\"") {
 		t.Errorf("sub-domain cell not rendered/quoted: %q", b.String())
+	}
+}
+
+// growRecorder is a strings.Builder that records the reservations made on it.
+type growRecorder struct {
+	strings.Builder
+	grown []int
+}
+
+func (g *growRecorder) Grow(n int) {
+	g.grown = append(g.grown, n)
+	g.Builder.Grow(n)
+}
+
+// TestWriteCSVReservesTheRelease checks that a writer with a Grow method is
+// asked, once and before any write, for exactly the release's size, with
+// quoted sub-domain cells in it, and gets the same bytes a writer without
+// one does.
+func TestWriteCSVReservesTheRelease(t *testing.T) {
+	tbl := csvTable(t)
+	g, err := MultiDimensional(tbl, NewPartition([][]int{{0, 1}, {2, 3, 4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec growRecorder
+	if err := WriteCSV(&rec, g); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.grown) != 1 || rec.grown[0] != rec.Len() {
+		t.Fatalf("reservations %v for a %d-byte release", rec.grown, rec.Len())
+	}
+	var plain strings.Builder
+	if err := WriteCSV(struct{ io.Writer }{&plain}, g); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != rec.String() {
+		t.Fatalf("release through Grow:\n%q\nwithout:\n%q", rec.String(), plain.String())
+	}
+	if !strings.Contains(plain.String(), `"{40,50}"`) {
+		t.Errorf("release has no quoted sub-domain cell: %q", plain.String())
 	}
 }

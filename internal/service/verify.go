@@ -82,7 +82,8 @@ func parseVerifyParams(q url.Values) (verifyParams, *apiError) {
 }
 
 // formPart returns the bytes of a multipart part, accepting both file parts
-// (curl -F name=@file.csv) and plain value parts.
+// (curl -F name=@file.csv) and plain value parts. A file part is read in one
+// allocation of its Size, the byte count the multipart parser stored.
 func formPart(form *multipart.Form, name string) ([]byte, bool, error) {
 	if files := form.File[name]; len(files) > 0 {
 		f, err := files[0].Open()
@@ -90,7 +91,8 @@ func formPart(form *multipart.Form, name string) ([]byte, bool, error) {
 			return nil, true, err
 		}
 		defer f.Close()
-		data, err := io.ReadAll(f)
+		data := make([]byte, files[0].Size)
+		_, err = io.ReadFull(f, data)
 		return data, true, err
 	}
 	if vals := form.Value[name]; len(vals) > 0 {

@@ -15,7 +15,14 @@ import (
 // ignored, and may share names; a selected column must be named exactly
 // once. Every value is treated as a categorical label. Errors name the
 // physical line on which the offending record starts.
+//
+// When r can report its length (*bytes.Reader and *strings.Reader can; see
+// unreadLines), the table's columns are allocated once, for as many rows as
+// the unread bytes can hold; any other reader grows them by doubling.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
+	// Count before the scanner's first read, whose read-ahead would hide
+	// records from the count.
+	lines, unread, sized := unreadLines(r)
 	s := NewRecordScanner(r)
 	if _, err := s.Scan(); err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
@@ -61,7 +68,14 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := New(schema)
+	rows := 0
+	if sized {
+		// A record holds at least need-1 commas and a line end (or EOF), so
+		// (unread+1)/need bounds the records even where the lines do not:
+		// blank lines, or one quoted field spanning many lines.
+		rows = min(lines+1, (unread+1)/need)
+	}
+	t := NewWithCapacity(schema, rows)
 	codes := make([]int, len(qiColumns))
 	for {
 		line, err := s.Scan()
@@ -84,6 +98,37 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 		t.push(codes, sa.EncodeBytes(s.Field(saIdx)))
 	}
 	return t, nil
+}
+
+// lenReader is a reader that can report its unread length and read ahead
+// of its position without moving it, as *bytes.Reader and *strings.Reader
+// can.
+type lenReader interface {
+	io.ReaderAt
+	Len() int
+	Size() int64
+}
+
+// unreadLines counts the '\n' bytes in r's unread range and reports that
+// range's length, if r is a lenReader; r's position does not move. sized is
+// false for any other reader, or if reading ahead fails.
+func unreadLines(r io.Reader) (lines, unread int, sized bool) {
+	lr, ok := r.(lenReader)
+	if !ok {
+		return 0, 0, false
+	}
+	unread = lr.Len()
+	var buf [8 << 10]byte
+	end := lr.Size()
+	for off := end - int64(unread); off < end; {
+		n, err := lr.ReadAt(buf[:min(int64(len(buf)), end-off)], off)
+		lines += bytes.Count(buf[:n], []byte{'\n'})
+		off += int64(n)
+		if n == 0 || err != nil && off < end {
+			return 0, 0, false
+		}
+	}
+	return lines, unread, true
 }
 
 // RecordScanner reads CSV records the way encoding/csv's Reader does with

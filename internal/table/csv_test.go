@@ -112,19 +112,24 @@ func sameTables(a, b *Table) string {
 }
 
 // checkAgainstOracle fails t unless ReadCSV and readCSVOracle agree on data:
-// the same table with the same dictionaries, or the same error text.
+// the same table with the same dictionaries, or the same error text. ReadCSV
+// reads data twice, from a *bytes.Reader, whose length sizes the table up
+// front, and from a reader that hides its length, so the table grows as it
+// reads.
 func checkAgainstOracle(t *testing.T, data []byte, qi []string, sa string) {
 	t.Helper()
-	got, gotErr := ReadCSV(bytes.NewReader(data), qi, sa)
 	want, wantErr := readCSVOracle(bytes.NewReader(data), qi, sa)
-	switch {
-	case gotErr != nil || wantErr != nil:
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("input %q:\nReadCSV error: %v\n oracle error: %v", data, gotErr, wantErr)
-		}
-	default:
-		if diff := sameTables(got, want); diff != "" {
-			t.Fatalf("input %q: %s", data, diff)
+	for _, r := range []io.Reader{bytes.NewReader(data), struct{ io.Reader }{bytes.NewReader(data)}} {
+		got, gotErr := ReadCSV(r, qi, sa)
+		switch {
+		case gotErr != nil || wantErr != nil:
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("input %q, %T:\nReadCSV error: %v\n oracle error: %v", data, r, gotErr, wantErr)
+			}
+		default:
+			if diff := sameTables(got, want); diff != "" {
+				t.Fatalf("input %q, %T: %s", data, r, diff)
+			}
 		}
 	}
 }
@@ -361,5 +366,50 @@ func TestReadCSVReadError(t *testing.T) {
 		if _, err := readCSVOracle(r, []string{"A", "B"}, "S"); err == nil || err.Error() != tc.want {
 			t.Errorf("input %q: oracle error %v, want %s", tc.in, err, tc.want)
 		}
+	}
+}
+
+// TestReadCSVReservation checks the rows ReadCSV reserves from a reader that
+// reports its length: exactly min(lines+1, (unread+1)/need) for the unread
+// bytes, which holds every record read, even where blank lines or a quoted
+// field spanning lines make the line count a poor bound.
+func TestReadCSVReservation(t *testing.T) {
+	const need = 3 // A, B and S are the first three columns
+	for _, tc := range []struct {
+		name, in string
+		skip     int // bytes read off the reader before ReadCSV
+		strings  bool
+	}{
+		{name: "LF", in: "A,B,S\n1,2,x\n3,4,y\n"},
+		{name: "CRLF", in: "A,B,S\r\n1,2,x\r\n3,4,y\r\n"},
+		{name: "no trailing newline", in: "A,B,S\n1,2,x\n3,4,y"},
+		{name: "blank lines", in: "A,B,S\n\n\n1,2,x\n\n3,4,y\n\n"},
+		{name: "quoted multi-line field", in: "A,B,S\n1,\"a\nb\nc\",x\n3,4,y\n"},
+		{name: "header only", in: "A,B,S\n"},
+		{name: "header only, no newline", in: "A,B,S"},
+		{name: "partly consumed", in: "junk\nA,B,S\n1,2,x\n3,4,y\n", skip: len("junk\n")},
+		{name: "strings.Reader", in: "A,B,S,T\n1,2,x,t\n3,4,y,u\n", strings: true},
+		{name: "64k blank lines", in: "A,B,S\n" + strings.Repeat("\n", 1<<16) + "1,2,x\n"},
+		{name: "64k-line quoted field", in: "A,B,S\n1,\"" + strings.Repeat("q\n", 1<<16) + "\",x\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r io.Reader = bytes.NewReader([]byte(tc.in))
+			if tc.strings {
+				r = strings.NewReader(tc.in)
+			}
+			if _, err := io.ReadFull(r, make([]byte, tc.skip)); err != nil {
+				t.Fatal(err)
+			}
+			body := tc.in[tc.skip:]
+			got, err := ReadCSV(r, []string{"A", "B"}, "S")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(strings.Count(body, "\n")+1, (len(body)+1)/need)
+			if got.cap != want || got.Len() > got.cap {
+				t.Fatalf("%d rows read into a reservation of %d, want %d", got.Len(), got.cap, want)
+			}
+			checkAgainstOracle(t, []byte(body), []string{"A", "B"}, "S")
+		})
 	}
 }

@@ -17,7 +17,8 @@ import (
 //
 // The layout is columnar: the QI codes live in d contiguous []int32 column
 // slices carved out of one shared arena allocation, next to the dense sa
-// slice. Scanning a column is a linear walk over one cache-friendly array —
+// slice, which is always allocated together with the arena at its capacity.
+// Scanning a column is a linear walk over one cache-friendly array —
 // there is no per-row allocation and no pointer chase — which is what every
 // algorithm layer (grouping, curve sorting, recoding, bucketization) leans
 // on. Codes are dictionary indices and therefore always fit in an int32.
@@ -48,37 +49,33 @@ func New(schema *Schema) *Table {
 }
 
 // NewWithCapacity creates an empty table preallocated for the given number of
-// rows: the column arena is allocated once, so appending up to that many rows
-// never reallocates.
+// rows: the column arena and the SA column are allocated once, so appending
+// up to that many rows never reallocates.
 func NewWithCapacity(schema *Schema, rows int) *Table {
 	t := New(schema)
 	if rows > 0 {
 		t.grow(rows)
-		t.sa = make([]int, 0, rows)
 	}
 	return t
 }
 
-// grow reallocates the column arena to hold at least minRows rows, keeping
-// the d columns contiguous inside one backing array. Each column is capped at
-// its arena segment so appending to one can never bleed into the next.
-func (t *Table) grow(minRows int) {
+// grow reallocates the column arena and the SA column to hold exactly rows
+// rows, keeping the d QI columns contiguous inside one backing array. Each
+// column is capped at its arena segment so appending to one can never bleed
+// into the next.
+func (t *Table) grow(rows int) {
 	d := len(t.cols)
-	newCap := t.cap * 2
-	if newCap < 64 {
-		newCap = 64
-	}
-	if newCap < minRows {
-		newCap = minRows
-	}
-	arena := make([]int32, d*newCap)
+	arena := make([]int32, d*rows)
 	n := len(t.sa)
 	for j := range t.cols {
-		seg := arena[j*newCap : j*newCap+n : (j+1)*newCap]
+		seg := arena[j*rows : j*rows+n : (j+1)*rows]
 		copy(seg, t.cols[j])
 		t.cols[j] = seg
 	}
-	t.cap = newCap
+	sa := make([]int, n, rows)
+	copy(sa, t.sa)
+	t.sa = sa
+	t.cap = rows
 }
 
 // Schema returns the table's schema.
@@ -98,13 +95,14 @@ func (t *Table) push(qi []int, sa int) {
 	}
 	n := len(t.sa)
 	if n >= t.cap {
-		t.grow(n + 1)
+		t.grow(max(2*t.cap, 64))
 	}
 	for j := range t.cols {
 		t.cols[j] = t.cols[j][:n+1]
 		t.cols[j][n] = int32(qi[j])
 	}
-	t.sa = append(t.sa, sa)
+	t.sa = t.sa[:n+1]
+	t.sa[n] = sa
 }
 
 // AppendRow adds a row given already-encoded QI codes and SA code. The QI
@@ -550,7 +548,7 @@ func (t *Table) Subset(rows []int) *Table {
 		}
 		out.cols[j] = dst
 	}
-	out.sa = make([]int, k)
+	out.sa = out.sa[:k]
 	for i, r := range rows {
 		out.sa[i] = t.sa[r]
 	}
@@ -570,7 +568,7 @@ func (t *Table) Clone() *Table {
 		out.cols[j] = out.cols[j][:n]
 		copy(out.cols[j], src[:n])
 	}
-	out.sa = slices.Clone(t.sa)
+	out.sa = append(out.sa, t.sa...)
 	return out
 }
 

@@ -195,6 +195,39 @@ func TestAppendRowValidation(t *testing.T) {
 	}
 }
 
+// TestSAGrowsWithArena checks that every owning table's SA column is
+// allocated with its QI arena, at the same capacity, so filling a reserved
+// table allocates nothing and outgrowing it reallocates both together.
+func TestSAGrowsWithArena(t *testing.T) {
+	sch := MustSchema([]*Attribute{NewIntegerAttribute("A", 2), NewIntegerAttribute("B", 2)}, NewIntegerAttribute("S", 2))
+	reserved := NewWithCapacity(sch, 100)
+	if allocs := testing.AllocsPerRun(99, func() { reserved.MustAppendRow([]int{0, 1}, 1) }); allocs != 0 {
+		t.Errorf("appending within the reservation allocated %.0f times per row", allocs)
+	}
+	if reserved.Len() != 100 || reserved.cap != 100 {
+		t.Fatalf("len %d, capacity %d after filling a reservation of 100", reserved.Len(), reserved.cap)
+	}
+	reserved.MustAppendRow([]int{1, 0}, 0)
+	hospital := hospitalTable(t)
+	for _, tc := range []struct {
+		name string
+		tbl  *Table
+	}{
+		{"outgrown reservation", reserved},
+		{"grown by appends", hospital},
+		{"subset", hospital.Subset([]int{3, 1, 4})},
+		{"sample", hospital.Sample(5, rand.New(rand.NewSource(1)))},
+		{"clone", hospital.Clone()},
+	} {
+		if tbl := tc.tbl; cap(tbl.sa) != tbl.cap || cap(tbl.cols[0]) != tbl.cap || tbl.Len() > tbl.cap {
+			t.Errorf("%s: %d rows, arena capacity %d, SA capacity %d", tc.name, tbl.Len(), tbl.cap, cap(tbl.sa))
+		}
+	}
+	if reserved.cap != 200 || reserved.SAValue(100) != 0 || reserved.QIAt(99, 1) != 1 {
+		t.Errorf("outgrown reservation: capacity %d, want 200, or rows lost in the copy", reserved.cap)
+	}
+}
+
 func TestGroupByQI(t *testing.T) {
 	tbl := hospitalTable(t)
 	groups := tbl.GroupByQI()
