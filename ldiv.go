@@ -90,6 +90,10 @@ func NewTable(schema *Schema) *Table { return table.New(schema) }
 // ReadCSV reads microdata from CSV, treating qiColumns as QI attributes and
 // saColumn as the sensitive attribute. Each selected column must be named
 // exactly once in the header; errors name the line a bad record starts on.
+// A reader that reports its length, through io.ReaderAt plus Len() int and
+// Size() int64 as *bytes.Reader and *strings.Reader do, gets its table
+// allocated once, for as many rows as its unread bytes can hold; the table
+// of any other reader grows by doubling as rows arrive.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 	return table.ReadCSV(r, qiColumns, saColumn)
 }
@@ -100,6 +104,8 @@ func WriteCSV(w io.Writer, t *Table) error { return table.WriteCSV(w, t) }
 // WriteGeneralizedCSV writes a published (generalized) table as CSV with the
 // same header layout as WriteCSV: suppressed values are rendered as "*" and
 // sub-domains as "{v1,v2,...}", so the release can be re-read with ReadCSV.
+// A w with a Grow(int) method, such as *bytes.Buffer or *strings.Builder,
+// is asked to reserve the release's exact size before the first write.
 func WriteGeneralizedCSV(w io.Writer, g *Generalized) error { return generalize.WriteCSV(w, g) }
 
 // TP runs the paper's three-phase approximation algorithm and returns the
