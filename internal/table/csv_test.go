@@ -377,8 +377,8 @@ func TestReadCSVReservation(t *testing.T) {
 	const need = 3 // A, B and S are the first three columns
 	for _, tc := range []struct {
 		name, in string
-		skip     int // bytes read off the reader before ReadCSV
-		strings  bool
+		skip     int  // bytes read off the reader before ReadCSV
+		str      bool // read through a *strings.Reader
 	}{
 		{name: "LF", in: "A,B,S\n1,2,x\n3,4,y\n"},
 		{name: "CRLF", in: "A,B,S\r\n1,2,x\r\n3,4,y\r\n"},
@@ -388,13 +388,13 @@ func TestReadCSVReservation(t *testing.T) {
 		{name: "header only", in: "A,B,S\n"},
 		{name: "header only, no newline", in: "A,B,S"},
 		{name: "partly consumed", in: "junk\nA,B,S\n1,2,x\n3,4,y\n", skip: len("junk\n")},
-		{name: "strings.Reader", in: "A,B,S,T\n1,2,x,t\n3,4,y,u\n", strings: true},
+		{name: "strings.Reader", in: "A,B,S,T\n1,2,x,t\n3,4,y,u\n", str: true},
 		{name: "64k blank lines", in: "A,B,S\n" + strings.Repeat("\n", 1<<16) + "1,2,x\n"},
 		{name: "64k-line quoted field", in: "A,B,S\n1,\"" + strings.Repeat("q\n", 1<<16) + "\",x\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var r io.Reader = bytes.NewReader([]byte(tc.in))
-			if tc.strings {
+			if tc.str {
 				r = strings.NewReader(tc.in)
 			}
 			if _, err := io.ReadFull(r, make([]byte, tc.skip)); err != nil {

@@ -110,8 +110,7 @@ def load(path):
 base, head = load(sys.argv[1]), load(sys.argv[2])
 bench = json.load(open(sys.argv[3]))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-names = [n for n in base[0]["metrics"] if n in better] + \
-        [n for n in base[0]["metrics"] if n not in better]
+names = list(base[0]["metrics"])
 
 def value(res, name):
     return res["metrics"][name]["value"]
