@@ -72,7 +72,10 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 	if sized {
 		// A record holds at least need-1 commas and a line end (or EOF), so
 		// (unread+1)/need bounds the records even where the lines do not:
-		// blank lines, or one quoted field spanning many lines.
+		// blank lines, or one quoted field spanning many lines. The bound is
+		// reserved before any record is checked, so an empty or rejected body
+		// costs as much as a valid one of the same length; a valid one would
+		// reach that size by doubling anyway, so the worst case is unchanged.
 		rows = min(lines+1, (unread+1)/need)
 	}
 	t := NewWithCapacity(schema, rows)

@@ -17,10 +17,8 @@
 # It prints every pair's metrics, then each side's median and interquartile
 # range per metric, the head's wins (better in the direction BENCHMARK.json
 # gives), and whether stars, kl and alloc_mb.per_op repeat exactly across all
-# runs of both sides. Each run's own report and stderr go to
-# $PERFPAIR_LOGS/<side>-<pair>.log when PERFPAIR_LOGS names a directory.
-# The temporary directory is removed, and a running benchmark stopped, on
-# exit or interrupt.
+# runs of both sides. The temporary directory is removed, and a running
+# benchmark stopped, on exit or interrupt.
 set -euo pipefail
 
 usage() {
@@ -81,9 +79,6 @@ run() {
 	fi
 	child=""
 	tail -n 1 "$log" >>"$tmp/$side.jsonl"
-	if [ -n "${PERFPAIR_LOGS:-}" ]; then
-		cp "$log" "$PERFPAIR_LOGS/$side-$pair.log"
-	fi
 }
 
 echo "perfpair: $workload, base $base_rev vs ${head_rev:-working tree}, $pairs pairs, flags: --seed 1 --seconds 25 --trace 0 $*"
