@@ -806,27 +806,43 @@ func BenchmarkWriteGeneralizedCSV(b *testing.B) {
 }
 
 // BenchmarkVerifyGeneralized measures the release auditor on the
-// publish-wide tp release (100k rows, 7 QI columns, l=4): "clean" audits the
-// release as published; "hostile" audits it with every "*" replaced by "?",
-// so every suppressed cell is an unknown-value violation and the report is
-// truncated at the default cap.
+// publish-wide input (100k rows, 7 QI columns, l=4): "clean" audits its tp
+// release as published; "hostile" audits that release with every "*"
+// replaced by "?", so every suppressed cell is an unknown-value violation and
+// the report is truncated at the default cap; "sets" audits its mondrian
+// release, whose set cells are quoted fields holding commas, so every row
+// takes the auditor's quoted-record path.
 func BenchmarkVerifyGeneralized(b *testing.B) {
 	_, gen := wideCSV(b)
-	var release bytes.Buffer
-	if err := ldiv.WriteGeneralizedCSV(&release, gen); err != nil {
-		b.Fatal(err)
+	render := func(g *ldiv.Generalized) []byte {
+		var release bytes.Buffer
+		if err := ldiv.WriteGeneralizedCSV(&release, g); err != nil {
+			b.Fatal(err)
+		}
+		return release.Bytes()
 	}
-	hostile := bytes.ReplaceAll(release.Bytes(), []byte("*"), []byte("?"))
+	clean := render(gen)
 	for _, bc := range []struct {
 		name    string
-		release []byte
+		release func() []byte
 		ok      bool
-	}{{"clean", release.Bytes(), true}, {"hostile", hostile, false}} {
+	}{
+		{"clean", func() []byte { return clean }, true},
+		{"hostile", func() []byte { return bytes.ReplaceAll(clean, []byte("*"), []byte("?")) }, false},
+		{"sets", func() []byte {
+			sets, _, err := ldiv.AnonymizeWith(gen.Source, 4, "mondrian")
+			if err != nil {
+				b.Fatal(err)
+			}
+			return render(sets)
+		}, true},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(bc.release)))
+			release := bc.release()
+			b.SetBytes(int64(len(release)))
 			b.ReportAllocs()
 			for b.Loop() {
-				rep, err := ldiv.VerifyRelease(gen.Source, bytes.NewReader(bc.release), ldiv.VerifyOptions{L: 4})
+				rep, err := ldiv.VerifyRelease(gen.Source, bytes.NewReader(release), ldiv.VerifyOptions{L: 4})
 				if err != nil {
 					b.Fatal(err)
 				}

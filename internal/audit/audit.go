@@ -274,21 +274,26 @@ func VerifyGeneralized(t *table.Table, release io.Reader, opts Options) (*Report
 			cells[j][code].cell, cells[j][code].known = p.parse(rel.qi[j].Label(code))
 		}
 	}
+	// A "*" covers every value, so a row is checked only on its group's
+	// other cells.
 	for i := range rows {
 		r := &rows[i]
 		for j, code := range rel.groupQI[r.group*d : (r.group+1)*d] {
+			if code < 0 {
+				continue
+			}
 			c := &cells[j][code]
 			if !c.known {
 				rep.add(ViolationUnknownValue, r.group, r.idx, func() string {
 					return fmt.Sprintf("row %d publishes %q for attribute %q, which is outside the original domain",
-						r.idx, rel.qi[j].Label(code), sch.QI(j).Name())
+						r.idx, rel.qi[j].Label(int(code)), sch.QI(j).Name())
 				})
 				continue
 			}
 			if aligned && !c.cell.Covers(t.QIAt(r.idx, j)) {
 				rep.add(ViolationQICoverage, r.group, r.idx, func() string {
 					return fmt.Sprintf("row %d publishes %q for attribute %q, which does not cover the original value %q",
-						r.idx, rel.qi[j].Label(code), sch.QI(j).Name(), t.QILabel(r.idx, j))
+						r.idx, rel.qi[j].Label(int(code)), sch.QI(j).Name(), t.QILabel(r.idx, j))
 				})
 			}
 		}

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"errors"
@@ -29,8 +30,10 @@ type genRelease struct {
 	rows    []genRow
 	skipped int // data rows present in the file but unreadable
 	groups  int // QI-signature groups, numbered in first-appearance order
-	// groupQI[g*d+j] is the code, in qi[j], of group g's label in QI column j.
-	groupQI []int
+	// groupQI[g*d+j] is the code, in qi[j], of group g's label in QI column
+	// j, or -1 for a "*": a "*" covers every value, so it is neither
+	// interned nor checked.
+	groupQI []int32
 	// qi[j] and sa are the published labels of QI column j and of the
 	// sensitive column, coded in first-appearance order.
 	qi []*table.Attribute
@@ -53,10 +56,15 @@ type genRow struct {
 //
 // Rows are grouped during the scan into equivalence groups of identical
 // published QI signatures — exactly the groups a linking adversary can
-// distinguish — in first-appearance order. A row's key is its QI fields'
-// unescaped bytes, each prefixed with its length so no separator choice can
-// collide; the key is looked up without allocating, and only a new group's
-// labels are interned.
+// distinguish — in first-appearance order. A row's key is its QI span, the
+// QI fields as the scanner joined them with commas, when that span splits
+// back into the fields one way only: when no QI field holds a comma, which
+// a quote-free record guarantees unchecked. Any other row's key is a '"'
+// followed by its QI fields' unescaped bytes, each prefixed with its length,
+// and a span beginning with '"' takes that form too, so the two kinds never
+// collide. Both are functions of the unescaped fields, so a quoted field and
+// its unquoted twin still share a group. The key is looked up without
+// allocating, and only a new group's labels are interned.
 func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep *reporter) (rel *genRelease, ok bool, err error) {
 	s := table.NewRecordScanner(release)
 	if _, err := s.Scan(); err != nil {
@@ -76,7 +84,7 @@ func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep 
 		rel.qi[j] = table.NewAttribute(want[j])
 	}
 	groupOf := make(map[string]int)
-	var key []byte
+	var lp []byte // the length-prefixed key of a row whose span is ambiguous
 	for i := 0; ; i++ {
 		_, err := s.Scan()
 		if err == io.EOF {
@@ -101,11 +109,15 @@ func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep 
 			})
 			continue
 		}
-		key = key[:0]
-		for j := 0; j < d; j++ {
-			f := s.Field(j)
-			key = binary.AppendUvarint(key, uint64(len(f)))
-			key = append(key, f...)
+		key, quoteFree := s.Span(d)
+		if !quoteFree && (len(key) > 0 && key[0] == '"' || bytes.Count(key, []byte{','}) != d-1) {
+			lp = append(lp[:0], '"')
+			for j := 0; j < d; j++ {
+				f := s.Field(j)
+				lp = binary.AppendUvarint(lp, uint64(len(f)))
+				lp = append(lp, f...)
+			}
+			key = lp
 		}
 		g, seen := groupOf[string(key)]
 		if !seen {
@@ -113,7 +125,11 @@ func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep 
 			rel.groups++
 			groupOf[string(key)] = g
 			for j := 0; j < d; j++ {
-				rel.groupQI = append(rel.groupQI, rel.qi[j].EncodeBytes(s.Field(j)))
+				code := int32(-1)
+				if f := s.Field(j); len(f) != 1 || f[0] != '*' {
+					code = int32(rel.qi[j].EncodeBytes(f))
+				}
+				rel.groupQI = append(rel.groupQI, code)
 			}
 		}
 		rel.rows = append(rel.rows, genRow{idx: i, group: g, sa: rel.sa.EncodeBytes(s.Field(d))})

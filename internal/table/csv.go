@@ -156,6 +156,7 @@ type RecordScanner struct {
 	unescaped []byte // holds the fields of a record with a quote
 	record    []byte // the record's fields, one separator byte apart
 	ends      []int  // ends[i] is the end offset of field i in record
+	quoteFree bool   // the record took the quote-free path
 }
 
 // NewRecordScanner returns a scanner reading records from r.
@@ -174,6 +175,15 @@ func (s *RecordScanner) Field(i int) []byte {
 		start = s.ends[i-1] + 1
 	}
 	return s.record[start:s.ends[i]]
+}
+
+// Span returns fields 0 to n-1 of the last record scanned, joined by commas,
+// and whether the record held no '"'. Such a record's fields hold no comma,
+// so its span splits back into the n fields one way only; a quoted record's
+// fields may, so its span can be ambiguous. n must be at least 1 and at most
+// Fields(). The bytes are only valid until the next call to Scan.
+func (s *RecordScanner) Span(n int) ([]byte, bool) {
+	return s.record[:s.ends[n-1]], s.quoteFree
 }
 
 // endField ends the field being unescaped into record and writes a
@@ -248,9 +258,11 @@ func (s *RecordScanner) Scan() (int, error) {
 		}
 		ends[n] = len(s.record)
 		s.ends = ends
+		s.quoteFree = true
 		return recLine, errRead
 	}
 
+	s.quoteFree = false
 	s.record = s.unescaped[:0]
 	var err error
 	posLine, col := s.numLine, 1 // position of the next unread byte

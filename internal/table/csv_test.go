@@ -291,8 +291,48 @@ func FuzzRecordScannerDifferential(f *testing.F) {
 			if !slices.Equal(got, rec) {
 				t.Fatalf("record %d: scanner %q, encoding/csv %q", n, got, rec)
 			}
+			for k := 1; k <= len(rec); k++ {
+				if span, _ := s.Span(k); string(span) != strings.Join(rec[:k], ",") {
+					t.Fatalf("record %d: Span(%d) = %q, want the first %d of %q joined", n, k, span, k, rec)
+				}
+			}
+			if _, quoteFree := s.Span(1); quoteFree && slices.ContainsFunc(rec, func(f string) bool { return strings.ContainsAny(f, ",\"") }) {
+				t.Fatalf("record %d: quote-free record %q has a field with a comma or quote", n, rec)
+			}
 		}
 	})
+}
+
+// TestRecordScannerSpan checks that Span joins a record's first fields with
+// commas and reports whether the record was quote-free.
+func TestRecordScannerSpan(t *testing.T) {
+	tests := []struct {
+		name, in  string
+		quoteFree bool
+	}{
+		{"quote-free", "30,M,flu\n", true},
+		{"quoted", "\"3,0\",\"M\"\"\",flu\n", false},
+		{"crlf", "30,M,flu\r\n", true},
+		{"multi-line quoted field", "30,\"M\r\nF\",flu\n", false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := csv.NewReader(strings.NewReader(tc.in)).Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewRecordScanner(strings.NewReader(tc.in))
+			if _, err := s.Scan(); err != nil {
+				t.Fatal(err)
+			}
+			for n := 1; n <= len(rec); n++ {
+				span, quoteFree := s.Span(n)
+				if want := strings.Join(rec[:n], ","); string(span) != want || quoteFree != tc.quoteFree {
+					t.Errorf("Span(%d) = %q, %v; want %q, %v", n, span, quoteFree, want, tc.quoteFree)
+				}
+			}
+		})
+	}
 }
 
 func TestReadCSVLineNumbers(t *testing.T) {
