@@ -59,9 +59,9 @@ type genRow struct {
 // distinguish — in first-appearance order. A row's key is its QI span, the
 // QI fields as the scanner joined them with commas, when that span splits
 // back into the fields one way only: when no QI field holds a comma, which
-// a quote-free record guarantees unchecked. Any other row's key is a '"'
-// followed by its QI fields' unescaped bytes, each prefixed with its length,
-// and a span beginning with '"' takes that form too, so the two kinds never
+// a quote-free record guarantees unchecked. Any other row's key is its QI
+// fields' lengths followed by its span, which the lengths split. That key
+// holds at least d commas and a span key exactly d-1, so the two kinds never
 // collide. Both are functions of the unescaped fields, so a quoted field and
 // its unquoted twin still share a group. The key is looked up without
 // allocating, and only a new group's labels are interned.
@@ -84,7 +84,7 @@ func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep 
 		rel.qi[j] = table.NewAttribute(want[j])
 	}
 	groupOf := make(map[string]int)
-	var lp []byte // the length-prefixed key of a row whose span is ambiguous
+	var lp []byte // the key of a row whose span alone is ambiguous
 	for i := 0; ; i++ {
 		_, err := s.Scan()
 		if err == io.EOF {
@@ -110,13 +110,12 @@ func parseGeneralized(sch *table.Schema, sourceRows int, release io.Reader, rep 
 			continue
 		}
 		key, quoteFree := s.Span(d)
-		if !quoteFree && (len(key) > 0 && key[0] == '"' || bytes.Count(key, []byte{','}) != d-1) {
-			lp = append(lp[:0], '"')
+		if !quoteFree && bytes.Count(key, []byte{','}) != d-1 {
+			lp = lp[:0]
 			for j := 0; j < d; j++ {
-				f := s.Field(j)
-				lp = binary.AppendUvarint(lp, uint64(len(f)))
-				lp = append(lp, f...)
+				lp = binary.AppendUvarint(lp, uint64(len(s.Field(j))))
 			}
+			lp = append(lp, key...)
 			key = lp
 		}
 		g, seen := groupOf[string(key)]

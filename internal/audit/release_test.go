@@ -21,8 +21,6 @@ func TestParseGeneralizedGroupKey(t *testing.T) {
 		// Both spans read "3,0,M", but the fields differ.
 		{"comma in a quoted field", `"3,0",M,flu`, `3,"0,M",flu`, false},
 		{"quoted twin", `"30",M,flu`, `30,M,flu`, true},
-		// The second row's span equals the first row's length-prefixed key.
-		{"span shaped like a length-prefixed key", `"3,0",M,flu`, "\"\"\"\x033\",0\x01M,flu", false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
