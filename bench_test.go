@@ -810,8 +810,8 @@ func BenchmarkWriteGeneralizedCSV(b *testing.B) {
 // release as published; "hostile" audits that release with every "*"
 // replaced by "?", so every suppressed cell is an unknown-value violation and
 // the report is truncated at the default cap; "sets" audits its mondrian
-// release, whose set cells are quoted fields holding commas, so every row
-// takes the auditor's quoted-record path.
+// release, whose set cells are quoted fields holding commas, so most rows
+// take the auditor's quoted-record path.
 func BenchmarkVerifyGeneralized(b *testing.B) {
 	_, gen := wideCSV(b)
 	render := func(g *ldiv.Generalized) []byte {
