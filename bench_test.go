@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -638,9 +639,11 @@ var (
 )
 
 // BenchmarkKLDivergence measures Equation 2's KL-divergence on each release
-// of klReleases.
+// of klReleases, and on the publish-wide tp release ("wide"), whose 72k
+// GroupByQI groups KL sums in blocks on one goroutine per CPU.
 func BenchmarkKLDivergence(b *testing.B) {
-	for _, r := range klReleases(b) {
+	_, wide := wideCSV(b)
+	for _, r := range append(slices.Clip(klReleases(b)), namedRelease{"wide", wide}) {
 		b.Run(r.algo, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

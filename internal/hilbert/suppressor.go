@@ -1,8 +1,9 @@
 package hilbert
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ldiv/internal/eligibility"
 	"ldiv/internal/generalize"
@@ -112,27 +113,29 @@ func (s *Suppressor) sortByCurve(t *table.Table, rows []int) ([]int, error) {
 			coords[i*d+j] = uint32(int(col[r]) >> uint(shift))
 		}
 	}
-	keys := make([]uint64, len(rows))
-	for i := range rows {
+	// Hilbert key, then row index, is a total order, so an unstable sort
+	// gives the one result.
+	type keyed struct {
+		key uint64
+		row int
+	}
+	order := make([]keyed, len(rows))
+	for i, r := range rows {
 		k, err := Encode(coords[i*d:(i+1)*d], bits)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = k
+		order[i] = keyed{k, r}
 	}
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return rows[order[a]] < rows[order[b]]
+		return cmp.Compare(a.row, b.row)
 	})
 	sorted := make([]int, len(rows))
 	for i, o := range order {
-		sorted[i] = rows[o]
+		sorted[i] = o.row
 	}
 	return sorted, nil
 }

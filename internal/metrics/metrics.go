@@ -7,11 +7,13 @@
 package metrics
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"ldiv/internal/generalize"
+	"ldiv/internal/parallel"
 )
 
 // AverageGroupSize returns the mean QI-group size of a partition.
@@ -52,7 +54,28 @@ func Discernibility(p *generalize.Partition) int {
 // mask ANDed with v's bitset, and each one's weight sits in v's weight list
 // at its rank among v's holders. The weights are added in ascending group
 // order, so f* is summed in partition order.
+//
+// The points' terms are summed in blocks of klBlockGroups consecutive
+// GroupByQI groups, on up to one goroutine per CPU, and the block sums are
+// then added in block order. The blocks are fixed by the grouping alone, so
+// the result has the same bits at every worker count; a table with at most
+// one block's groups is summed in one loop on the calling goroutine.
 func KLDivergence(g *generalize.Generalized) (float64, error) {
+	return klDivergence(g, parallel.WorkerCount(0), klBlockGroups)
+}
+
+// klBlockGroups is the number of GroupByQI groups whose KL terms are summed
+// as one block. Changing it changes KL's last bits; serve-sized tables of a
+// few thousand rows have fewer groups and are summed in one block.
+const klBlockGroups = 4096
+
+// errUncovered is KLDivergence's error for a release that does not cover
+// the microdata.
+var errUncovered = errors.New("metrics: induced distribution assigns zero mass to an observed point; the generalization does not cover the microdata")
+
+// klDivergence is KLDivergence summing blocks of block groups on at most
+// workers goroutines.
+func klDivergence(g *generalize.Generalized, workers, block int) (float64, error) {
 	t := g.Source
 	n := t.Len()
 	if n == 0 {
@@ -99,42 +122,62 @@ func KLDivergence(g *generalize.Generalized) (float64, error) {
 	}
 
 	sa := t.SAView()
-	exactCnt := make([]int32, sadom)
-	qi := make([]int, t.Dimensions())
-	cols := make([][]int32, len(qi))
+	cols := make([][]int32, t.Dimensions())
 	for j := range cols {
 		cols[j] = t.Col(j)
 	}
-	mask := make([]uint64, words)
-	kl := 0.0
-	for _, rows := range t.GroupByQI() {
-		for _, r := range rows {
-			if cov.ExactRow[r] {
-				exactCnt[sa[r]]++
-			}
-		}
-		for j, col := range cols {
-			qi[j] = int(col[rows[0]])
-		}
-		cov.Covering(mask, qi)
-		counts, vals := counter.Count(rows)
-		for _, v := range vals {
-			f := float64(counts[v]) / float64(n)
-			fstar := float64(exactCnt[v]) / float64(n)
-			exactCnt[v] = 0
-			base := int(v) * words
-			for w, m := range mask {
-				held := holds[base+w]
-				for m &= held; m != 0; m &= m - 1 {
-					below := uint64(1)<<bits.TrailingZeros64(m) - 1
-					fstar += weight[first[base+w]+bits.OnesCount64(held&below)]
+	groups := t.GroupByQI()
+	sums := make([]float64, (len(groups)+block-1)/block)
+	var claimed atomic.Int64
+	err := parallel.Run(workers, min(workers, len(sums)), func(int) error {
+		counter := t.SAGroupCounter()
+		exactCnt := make([]int32, sadom)
+		qi := make([]int, len(cols))
+		mask := make([]uint64, words)
+		for b := int(claimed.Add(1)) - 1; b < len(sums); b = int(claimed.Add(1)) - 1 {
+			kl := 0.0
+			for _, rows := range groups[b*block : min((b+1)*block, len(groups))] {
+				for _, r := range rows {
+					if cov.ExactRow[r] {
+						exactCnt[sa[r]]++
+					}
+				}
+				for j, col := range cols {
+					qi[j] = int(col[rows[0]])
+				}
+				cov.Covering(mask, qi)
+				counts, vals := counter.Count(rows)
+				for _, v := range vals {
+					f := float64(counts[v]) / float64(n)
+					fstar := float64(exactCnt[v]) / float64(n)
+					exactCnt[v] = 0
+					base := int(v) * words
+					for w, m := range mask {
+						held := holds[base+w]
+						for m &= held; m != 0; m &= m - 1 {
+							below := uint64(1)<<bits.TrailingZeros64(m) - 1
+							fstar += weight[first[base+w]+bits.OnesCount64(held&below)]
+						}
+					}
+					if fstar <= 0 {
+						return errUncovered
+					}
+					kl += f * math.Log(f/fstar)
 				}
 			}
-			if fstar <= 0 {
-				return 0, fmt.Errorf("metrics: induced distribution assigns zero mass to an observed point; the generalization does not cover the microdata")
-			}
-			kl += f * math.Log(f/fstar)
+			sums[b] = kl
 		}
+		return nil
+	})
+	if errors.Is(err, errUncovered) {
+		return 0, errUncovered
+	}
+	if err != nil {
+		return 0, err
+	}
+	kl := 0.0
+	for _, s := range sums {
+		kl += s
 	}
 	return kl, nil
 }

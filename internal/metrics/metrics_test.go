@@ -177,5 +177,13 @@ func TestKLRejectsUncoveredRecoding(t *testing.T) {
 		if _, err := KLDivergence(g); err == nil {
 			t.Errorf("%s: KLDivergence accepted a release that does not cover the microdata", tc.name)
 		}
+		// In blocks of one group each, the uncovered points of A=1 and A=2
+		// sit in later blocks. Every worker count must report the one error,
+		// not one copy per worker that met it.
+		for _, workers := range []int{1, 2, 4} {
+			if _, err := klDivergence(g, workers, 1); err == nil || err.Error() != errUncovered.Error() {
+				t.Errorf("%s: %d workers, blocks of one group: error %v, want %v", tc.name, workers, err, errUncovered)
+			}
+		}
 	}
 }

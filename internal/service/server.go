@@ -52,6 +52,9 @@ type Config struct {
 	// worker per CPU; the published release is byte-identical at every
 	// setting. Deployments that raise Workers to run many jobs concurrently
 	// typically set AlgoWorkers to 1 so jobs do not oversubscribe the CPUs.
+	// It bounds TP only: CSV ingest and KL fan out to one worker per CPU
+	// whatever it says, but only for bodies of at least 16,384 lines and
+	// tables of more than 4,096 QI groups, well above serve-sized jobs.
 	AlgoWorkers int
 	// QueueDepth bounds the backlog of accepted-but-not-running jobs; a full
 	// backlog rejects submissions with HTTP 429. Default 64.
@@ -371,7 +374,9 @@ func prepare(body []byte, p Params) (*ldiv.Table, *apiError) {
 
 // runPreparedWorkers executes the requested algorithm on an already-validated
 // table, bounding the TP core's data-parallel stages by workers
-// (Config.AlgoWorkers); it is the production body of Server.run.
+// (Config.AlgoWorkers); it is the production body of Server.run. workers
+// bounds TP only: KL fans out to one worker per CPU above its size floor
+// (more than 4,096 QI groups), as ingest does above its own.
 func runPreparedWorkers(t *ldiv.Table, p Params, workers int) (*Result, error) {
 	//lint:ignore detrange job latency is an operational metric, not release content
 	start := time.Now()

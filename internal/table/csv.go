@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+
+	"ldiv/internal/parallel"
 )
 
 // ReadCSV reads a microdata table from CSV. The first record must be a header
@@ -19,10 +21,31 @@ import (
 // When r can report its length (*bytes.Reader and *strings.Reader can; see
 // unreadLines), the table's columns are allocated once, for as many rows as
 // the unread bytes can hold; any other reader grows them by doubling.
+//
+// A body of such a reader that holds no '"', has at least two spans of
+// ingestSpanLines lines and leaves room in the reservation for every line is
+// read in line-aligned chunks, one per CPU, each on its own goroutine and
+// writing its records straight into its part of the reservation. The table
+// is the one a sequential read builds, codes and dictionaries included: the
+// first chunk interns into the schema's attributes, each later chunk into
+// attributes of its own, which are merged in chunk order, and the chunk's
+// codes are remapped in place. Other bodies, every one of fewer than
+// 2*ingestSpanLines lines among them, are read on the calling goroutine.
 func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
+	return readCSV(r, qiColumns, saColumn, parallel.WorkerCount(0), ingestSpanLines)
+}
+
+// ingestSpanLines is the granularity, in lines, at which ReadCSV cuts a body
+// into chunks; a body needs two spans to be cut, so serve-sized bodies of a
+// few thousand rows are read sequentially.
+const ingestSpanLines = 8192
+
+// readCSV is ReadCSV cutting a body into at most workers chunks, at spans of
+// floor lines.
+func readCSV(r io.Reader, qiColumns []string, saColumn string, workers, floor int) (*Table, error) {
 	// Count before the scanner's first read, whose read-ahead would hide
 	// records from the count.
-	lines, unread, sized := unreadLines(r)
+	lines, unread, cuts, sized := unreadLines(r, floor)
 	s := NewRecordScanner(r)
 	if _, err := s.Scan(); err != nil {
 		return nil, fmt.Errorf("table: reading CSV header: %w", err)
@@ -46,25 +69,18 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 		}
 		return idx, nil
 	}
-	qiIdx := make([]int, len(qiColumns))
-	qiAttrs := make([]*Attribute, len(qiColumns))
-	need := 0 // fields a record needs to reach every selected column
-	for i, name := range qiColumns {
+	rd := recordReader{idx: make([]int, len(qiColumns)+1)}
+	attrs := make([]*Attribute, len(qiColumns)+1) // the QI attributes, then the SA
+	for i, name := range append(slices.Clip(qiColumns), saColumn) {
 		idx, err := column(name)
 		if err != nil {
 			return nil, err
 		}
-		qiIdx[i] = idx
-		qiAttrs[i] = NewAttribute(name)
-		need = max(need, idx+1)
+		rd.idx[i] = idx
+		attrs[i] = NewAttribute(name)
+		rd.need = max(rd.need, idx+1)
 	}
-	saIdx, err := column(saColumn)
-	if err != nil {
-		return nil, err
-	}
-	need = max(need, saIdx+1)
-	sa := NewAttribute(saColumn)
-	schema, err := NewSchema(qiAttrs, sa)
+	schema, err := NewSchema(attrs[:len(qiColumns)], attrs[len(qiColumns)])
 	if err != nil {
 		return nil, err
 	}
@@ -76,30 +92,168 @@ func ReadCSV(r io.Reader, qiColumns []string, saColumn string) (*Table, error) {
 		// reserved before any record is checked, so an empty or rejected body
 		// costs as much as a valid one of the same length; a valid one would
 		// reach that size by doubling anyway, so the worst case is unchanged.
-		rows = min(lines+1, (unread+1)/need)
+		rows = min(lines+1, (unread+1)/rd.need)
 	}
 	t := NewWithCapacity(schema, rows)
-	codes := make([]int, len(qiColumns))
+	if sized && workers > 1 && rows == lines+1 {
+		// Every line fits the reservation at its own row, less the header's
+		// lines, so each chunk can write from the row its first line sits at.
+		// The records start where the scanner's reads, less what it holds
+		// buffered, left off.
+		lr := r.(lenReader)
+		start := chunk{off: lr.Size() - int64(lr.Len()) - int64(s.r.Buffered()), line: s.numLine}
+		spans := []chunk{start}
+		for i, off := range cuts {
+			if off > start.off && off < lr.Size() {
+				spans = append(spans, chunk{off: off, line: (i + 1) * floor})
+			}
+		}
+		if len(spans) >= 2 {
+			// One chunk per worker, each of about as many spans: every
+			// chunk after the first builds dictionaries of its own.
+			chunks := make([]chunk, min(workers, len(spans)))
+			for i := range chunks {
+				chunks[i] = spans[i*len(spans)/len(chunks)]
+			}
+			return rd.readChunks(t, lr, chunks, attrs, workers)
+		}
+	}
+	if err := rd.read(t, s, 0, attrs); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// recordReader reads records into a table: idx holds the field index of
+// each QI column, then of the SA column, and need the fields a record must
+// have to reach all of them.
+type recordReader struct {
+	idx  []int
+	need int
+}
+
+// read appends s's records to t, interning the selected fields into attrs,
+// which hold a QI attribute per column and then the SA. line0 is the number
+// of physical lines before s's first, so errors name lines of the whole
+// body.
+func (rd recordReader) read(t *Table, s *RecordScanner, line0 int, attrs []*Attribute) error {
+	d := len(attrs) - 1
+	codes := make([]int, d)
 	for {
 		line, err := s.Scan()
 		if err == io.EOF {
-			break
+			return nil
 		}
+		line += line0
 		if err != nil {
-			return nil, fmt.Errorf("table: reading CSV line %d: %w", line, err)
+			return fmt.Errorf("table: reading CSV line %d: %w", line, err)
 		}
-		if n := s.Fields(); n < need {
-			for _, idx := range append(qiIdx, saIdx) {
+		if n := s.Fields(); n < rd.need {
+			for _, idx := range rd.idx {
 				if idx >= n {
-					return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, n, idx+1)
+					return fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, n, idx+1)
 				}
 			}
 		}
-		for i, idx := range qiIdx {
-			codes[i] = qiAttrs[i].EncodeBytes(s.Field(idx))
+		for i, idx := range rd.idx[:d] {
+			codes[i] = attrs[i].EncodeBytes(s.Field(idx))
 		}
-		t.push(codes, sa.EncodeBytes(s.Field(saIdx)))
+		t.push(codes, attrs[d].EncodeBytes(s.Field(rd.idx[d])))
 	}
+}
+
+// chunk is a line-aligned byte range of a quote-free body, from off to the
+// next chunk's off or the body's end.
+type chunk struct {
+	off   int64
+	line  int          // physical lines before off
+	at    int          // t's row for the chunk's first line
+	rows  int          // records read
+	attrs []*Attribute // dictionaries the chunk interned into
+	err   error
+}
+
+// readChunks reads the records of a quote-free body in chunks, on up to
+// workers goroutines, into t, whose reservation holds every line after the
+// header at its own row, and returns t. Chunk 0 interns into attrs, the
+// schema's attributes; every later chunk into fresh ones, which are merged
+// into attrs in chunk order so each label keeps the code a sequential read
+// gives it, and the chunk's codes are remapped to those. The rows are then
+// moved down over the rows left empty by blank lines. The first chunk that
+// fails gives the error, which is the error a sequential read would return.
+func (rd recordReader) readChunks(t *Table, lr lenReader, chunks []chunk, attrs []*Attribute, workers int) (*Table, error) {
+	end := lr.Size()
+	err := parallel.Run(workers, len(chunks), func(k int) error {
+		c := &chunks[k]
+		c.at = c.line - chunks[0].line
+		c.attrs = attrs
+		if k > 0 {
+			c.attrs = make([]*Attribute, len(attrs))
+			for j, a := range attrs {
+				c.attrs[j] = NewAttribute(a.name)
+			}
+		}
+		stop, room := end, t.cap-c.at
+		if k+1 < len(chunks) {
+			stop, room = chunks[k+1].off, chunks[k+1].line-c.line
+		}
+		w := t.window(c.at, room)
+		c.err = rd.read(w, NewRecordScanner(io.NewSectionReader(lr, c.off, stop-c.off)), c.line, c.attrs)
+		c.rows = w.Len()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	remap := make([][][]int32, len(chunks))
+	for k := range chunks {
+		if chunks[k].err != nil {
+			return nil, chunks[k].err
+		}
+		if k == 0 {
+			continue
+		}
+		remap[k] = make([][]int32, len(attrs))
+		for j, a := range chunks[k].attrs {
+			m := make([]int32, len(a.labels))
+			for code, label := range a.labels {
+				m[code] = int32(attrs[j].Encode(label))
+			}
+			remap[k][j] = m
+		}
+	}
+	d := len(attrs) - 1
+	err = parallel.Run(workers, len(chunks)-1, func(k int) error {
+		c, m := &chunks[k+1], remap[k+1]
+		for j, col := range t.cols {
+			seg := col[c.at : c.at+c.rows]
+			for i, v := range seg {
+				seg[i] = m[j][v]
+			}
+		}
+		seg := t.sa[c.at : c.at+c.rows]
+		for i, v := range seg {
+			seg[i] = int(m[d][v])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, c := range chunks {
+		if c.at != n {
+			for _, col := range t.cols {
+				copy(col[n:n+c.rows], col[c.at:c.at+c.rows])
+			}
+			copy(t.sa[n:n+c.rows], t.sa[c.at:c.at+c.rows])
+		}
+		n += c.rows
+	}
+	for j := range t.cols {
+		t.cols[j] = t.cols[j][:n]
+	}
+	t.sa = t.sa[:n]
 	return t, nil
 }
 
@@ -114,24 +268,39 @@ type lenReader interface {
 
 // unreadLines counts the '\n' bytes in r's unread range and reports that
 // range's length, if r is a lenReader; r's position does not move. sized is
-// false for any other reader, or if reading ahead fails.
-func unreadLines(r io.Reader) (lines, unread int, sized bool) {
+// false for any other reader, or if reading ahead fails. Unless the range
+// holds a '"', cuts lists the offset just past every every-th '\n', where a
+// line-aligned chunk may start.
+func unreadLines(r io.Reader, every int) (lines, unread int, cuts []int64, sized bool) {
 	lr, ok := r.(lenReader)
 	if !ok {
-		return 0, 0, false
+		return 0, 0, nil, false
 	}
 	unread = lr.Len()
 	var buf [8 << 10]byte
 	end := lr.Size()
+	quoted := false
 	for off := end - int64(unread); off < end; {
 		n, err := lr.ReadAt(buf[:min(int64(len(buf)), end-off)], off)
-		lines += bytes.Count(buf[:n], []byte{'\n'})
+		b := buf[:n]
+		k := bytes.Count(b, []byte{'\n'})
+		quoted = quoted || bytes.IndexByte(b, '"') >= 0
+		for pos, seen := 0, 0; !quoted && (len(cuts)+1)*every-lines <= k; {
+			for ; seen < (len(cuts)+1)*every-lines; seen++ {
+				pos += bytes.IndexByte(b[pos:], '\n') + 1
+			}
+			cuts = append(cuts, off+int64(pos))
+		}
+		lines += k
 		off += int64(n)
 		if n == 0 || err != nil && off < end {
-			return 0, 0, false
+			return 0, 0, nil, false
 		}
 	}
-	return lines, unread, true
+	if quoted {
+		cuts = nil
+	}
+	return lines, unread, cuts, true
 }
 
 // RecordScanner reads CSV records the way encoding/csv's Reader does with

@@ -113,22 +113,30 @@ func sameTables(a, b *Table) string {
 
 // checkAgainstOracle fails t unless ReadCSV and readCSVOracle agree on data:
 // the same table with the same dictionaries, or the same error text. ReadCSV
-// reads data twice, from a *bytes.Reader, whose length sizes the table up
-// front, and from a reader that hides its length, so the table grows as it
-// reads.
+// reads data three times: from a *bytes.Reader, whose length sizes the table
+// up front; from a reader that hides its length, so the table grows as it
+// reads; and from a *bytes.Reader in chunks of one line on three workers, so
+// a quote-free body of two lines or more is read in chunks.
 func checkAgainstOracle(t *testing.T, data []byte, qi []string, sa string) {
 	t.Helper()
 	want, wantErr := readCSVOracle(bytes.NewReader(data), qi, sa)
-	for _, r := range []io.Reader{bytes.NewReader(data), struct{ io.Reader }{bytes.NewReader(data)}} {
-		got, gotErr := ReadCSV(r, qi, sa)
+	for _, read := range []struct {
+		name string
+		read func() (*Table, error)
+	}{
+		{"sized", func() (*Table, error) { return ReadCSV(bytes.NewReader(data), qi, sa) }},
+		{"unsized", func() (*Table, error) { return ReadCSV(struct{ io.Reader }{bytes.NewReader(data)}, qi, sa) }},
+		{"chunked", func() (*Table, error) { return readCSV(bytes.NewReader(data), qi, sa, 3, 1) }},
+	} {
+		got, gotErr := read.read()
 		switch {
 		case gotErr != nil || wantErr != nil:
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("input %q, %T:\nReadCSV error: %v\n oracle error: %v", data, r, gotErr, wantErr)
+				t.Fatalf("input %q, %s read:\nReadCSV error: %v\n oracle error: %v", data, read.name, gotErr, wantErr)
 			}
 		default:
 			if diff := sameTables(got, want); diff != "" {
-				t.Fatalf("input %q, %T: %s", data, r, diff)
+				t.Fatalf("input %q, %s read: %s", data, read.name, diff)
 			}
 		}
 	}
@@ -450,6 +458,61 @@ func TestReadCSVReservation(t *testing.T) {
 				t.Fatalf("%d rows read into a reservation of %d, want %d", got.Len(), got.cap, want)
 			}
 			checkAgainstOracle(t, []byte(body), []string{"A", "B"}, "S")
+		})
+	}
+}
+
+// TestReadCSVChunks reads quote-free bodies in chunks of a few lines on three
+// workers and checks that each gives the table, dictionaries and error text
+// of a sequential read, and of the oracle; a quoted body must not be cut.
+func TestReadCSVChunks(t *testing.T) {
+	var big strings.Builder
+	big.WriteString("A,B,S\n")
+	for i := range 3 * ingestSpanLines {
+		fmt.Fprintf(&big, "a%d,b%d,s%d\n", i*7919%1000, i%300, i%11)
+	}
+	for _, tc := range []struct {
+		name, in, err string
+		floor         int
+		cut           bool // the body must be read in chunks
+	}{
+		{name: "CRLF", in: "A,B,S\r\n1,2,x\r\n3,4,y\r\n5,6,z\r\n7,8,x\r\n", floor: 2, cut: true},
+		{name: "blank lines around a cut", in: "A,B,S\n1,2,x\n\n\n\n3,4,y\n5,6,z\n\r\n7,8,w\n", floor: 2, cut: true},
+		{name: "no final newline", in: "A,B,S\n1,2,x\n3,4,y\n5,6,z", floor: 1, cut: true},
+		{name: "trailing CR at EOF", in: "A,B,S\n1,2,x\n3,4,y\n5,6,z\r", floor: 1, cut: true},
+		{name: "labels new in later chunks", in: "A,B,S\n1,2,x\n1,2,x\n1,2,x\n3,4,y\n1,5,z\n6,2,x\n", floor: 2, cut: true},
+		{name: "blank lines before the header", in: "\n\n\nA,B,S\n1,2,x\n3,4,y\n5,6,z\n", floor: 2, cut: true},
+		{
+			name: "short record in chunk 3", floor: 2, cut: true,
+			in:  "A,B,S\n1,2,x\n3,4,y\n\n5,6,z\n7,8,x\n9,9\n1,1,y\n",
+			err: "table: CSV line 7 has 2 fields, need column 3",
+		},
+		{
+			name: "short records in chunks 1 and 3", floor: 2, cut: true,
+			in:  "A,B,S\n1,2,x\n3,4\n\n5,6,z\n7,8,x\n9,9\n1,1,y\n",
+			err: "table: CSV line 3 has 2 fields, need column 3",
+		},
+		{name: "quoted body", in: "A,B,S\n1,2,x\n\"3\",4,y\n5,6,z\n7,8,w\n", floor: 1},
+		{name: "three spans of ingestSpanLines", in: big.String(), floor: ingestSpanLines, cut: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, cuts, _ := unreadLines(strings.NewReader(tc.in), tc.floor); (len(cuts) >= 2) != tc.cut {
+				t.Fatalf("%d cuts, want cut=%v", len(cuts), tc.cut)
+			}
+			want, wantErr := readCSV(strings.NewReader(tc.in), []string{"A", "B"}, "S", 1, tc.floor)
+			got, err := readCSV(strings.NewReader(tc.in), []string{"A", "B"}, "S", 3, tc.floor)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || err != nil && err.Error() != tc.err {
+				t.Fatalf("error %v, sequential %v, want %q", err, wantErr, tc.err)
+			}
+			if err == nil {
+				if tc.err != "" {
+					t.Fatalf("no error, want %q", tc.err)
+				}
+				if diff := sameTables(got, want); diff != "" {
+					t.Fatal(diff)
+				}
+			}
+			checkAgainstOracle(t, []byte(tc.in), []string{"A", "B"}, "S")
 		})
 	}
 }

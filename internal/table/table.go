@@ -78,6 +78,18 @@ func (t *Table) grow(rows int) {
 	t.cap = rows
 }
 
+// window returns an empty table over rows [at, at+rows) of t's reservation,
+// which must hold them: appending to it writes t's columns in place, and it
+// never grows. t's own length is not changed.
+func (t *Table) window(at, rows int) *Table {
+	w := &Table{schema: t.schema, cols: make([][]int32, len(t.cols)), cap: rows}
+	for j, col := range t.cols {
+		w.cols[j] = col[at : at : at+rows]
+	}
+	w.sa = t.sa[at : at : at+rows]
+	return w
+}
+
 // Schema returns the table's schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
