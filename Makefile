@@ -80,8 +80,8 @@ vet:
 
 # lint runs ldivlint, the repo's own analyzer suite (internal/lint): detrange
 # (map-iteration/wall-clock determinism in release-producing packages),
-# viewsafety (mutating or retaining zero-copy table views, or writing into
-# the shared GroupByQI grouping), narrowconv
+# viewsafety (writing through a table's Col/SAView slices or into the
+# shared GroupByQI grouping), narrowconv
 # (unguarded narrowing of count-carrying integers) and poolcheck (dropped
 # TrySubmit verdicts, unclosed queues). Nonzero on any diagnostic.
 lint:

@@ -402,13 +402,14 @@ func BenchmarkTableOps(b *testing.B) {
 		row := make([]int, d)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := ldiv.NewTable(sal4.Schema())
+			tb := ldiv.NewTableBuilder(sal4.Schema())
 			for r := 0; r < n; r++ {
 				for j := 0; j < d; j++ {
 					row[j] = sal4.QIAt(r, j)
 				}
-				t.MustAppendRow(row, sal4.SAValue(r))
+				tb.MustAppendRow(row, sal4.SAValue(r))
 			}
+			t := tb.Build()
 			if t.Len() != n {
 				b.Fatal("short table")
 			}

@@ -2,8 +2,9 @@
 // viewsafety, narrowconv, poolcheck, and directive — over the given package
 // patterns (default ./...). It is the multichecker for internal/lint: each
 // analyzer machine-enforces one architectural invariant (deterministic
-// output, view safety, saturating count narrowing, queue hygiene, and
-// justified suppressions; see `ldivlint -doc` or docs/ARCHITECTURE.md).
+// output, read-only table storage, saturating count narrowing, queue
+// hygiene, and justified suppressions; see `ldivlint -doc` or
+// docs/ARCHITECTURE.md).
 //
 // Exit status: 0 when the tree is clean, 3 when diagnostics were reported
 // (the go/analysis multichecker convention), 1 when loading or analysis

@@ -274,20 +274,21 @@ func TestCoverageMatchesGroupScanOracles(t *testing.T) {
 // their rows as exact singleton groups.
 func TestCoverageBitsetWordBoundary(t *testing.T) {
 	for _, k := range []int{0, 64, 65} {
-		tbl := table.New(table.MustSchema(
+		tb := table.NewBuilder(table.MustSchema(
 			[]*table.Attribute{table.NewIntegerAttribute("A", k+3), table.NewIntegerAttribute("B", 2)},
-			table.NewIntegerAttribute("S", 3)))
+			table.NewIntegerAttribute("S", 3)), 0)
 		var groups [][]int
 		for a := 0; a < k+3; a++ {
-			r := tbl.Len()
-			tbl.MustAppendRow([]int{a, 0}, a%3)
-			tbl.MustAppendRow([]int{a, 1}, (a+1)%3)
+			r := 2 * a
+			tb.MustAppendRow([]int{a, 0}, a%3)
+			tb.MustAppendRow([]int{a, 1}, (a+1)%3)
 			if a < k {
 				groups = append(groups, []int{r, r + 1})
 			} else {
 				groups = append(groups, []int{r}, []int{r + 1})
 			}
 		}
+		tbl := tb.Build()
 		g, err := generalize.Suppress(tbl, generalize.NewPartition(groups))
 		if err != nil {
 			t.Fatal(err)

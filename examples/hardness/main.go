@@ -55,7 +55,11 @@ func main() {
 	if !eligibility.IsLDiversePartition(red.Table, p.Groups, 3) {
 		log.Fatal("matching partition is not 3-diverse")
 	}
-	stars := generalize.StarsForPartition(red.Table, p)
+	gen, err := generalize.Suppress(red.Table, p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stars := gen.Stars()
 	fmt.Printf("The matching-induced partition is 3-diverse and uses %d stars", stars)
 	if stars == red.StarsTarget() {
 		fmt.Println(" — exactly the 3n(d-1) target of Lemma 3.")

@@ -18,7 +18,7 @@ func buildTable1() (*ldiv.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := ldiv.NewTable(schema)
+	tb := ldiv.NewTableBuilder(schema)
 	rows := []struct {
 		name string
 		qi   [3]string
@@ -36,11 +36,11 @@ func buildTable1() (*ldiv.Table, error) {
 		{"Jane", [3]string{">=50", "F", "HighSch"}, "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := t.AppendLabels(r.qi[:], r.sa); err != nil {
+		if err := tb.AppendLabels(r.qi[:], r.sa); err != nil {
 			return nil, err
 		}
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 func main() {

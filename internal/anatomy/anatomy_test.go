@@ -10,13 +10,13 @@ import (
 )
 
 func randomTable(rng *rand.Rand, n, m int) *table.Table {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 6), table.NewIntegerAttribute("B", 4)},
-		table.NewIntegerAttribute("S", m)))
+		table.NewIntegerAttribute("S", m)), 0)
 	for i := 0; i < n; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(6), rng.Intn(4)}, rng.Intn(m))
+		tb.MustAppendRow([]int{rng.Intn(6), rng.Intn(4)}, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func checkAnatomy(t *testing.T, tbl *table.Table, res *Result, l int) {
@@ -74,31 +74,33 @@ func TestAnatomyErrors(t *testing.T) {
 	if _, err := Anonymize(tbl, 1); err == nil {
 		t.Error("l = 1 accepted")
 	}
-	skew := table.New(table.MustSchema(
+	skewb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for i := 0; i < 5; i++ {
-		skew.MustAppendRow([]int{0}, 0)
+		skewb.MustAppendRow([]int{0}, 0)
 	}
-	skew.MustAppendRow([]int{1}, 1)
+	skewb.MustAppendRow([]int{1}, 1)
+	skew := skewb.Build()
 	if _, err := Anonymize(skew, 2); err == nil {
 		t.Error("ineligible table accepted")
 	}
 }
 
 func TestAnatomyPublishedTables(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewAttribute("Age"), table.NewAttribute("Sex")},
-		table.NewAttribute("Disease")))
+		table.NewAttribute("Disease")), 0)
 	data := [][3]string{
 		{"23", "M", "flu"}, {"27", "F", "cold"}, {"35", "M", "flu"},
 		{"41", "F", "angina"}, {"52", "M", "cold"}, {"66", "F", "angina"},
 	}
 	for _, r := range data {
-		if err := tbl.AppendLabels([]string{r[0], r[1]}, r[2]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1]}, r[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	tbl := tb.Build()
 	res, err := Anonymize(tbl, 2)
 	if err != nil {
 		t.Fatal(err)

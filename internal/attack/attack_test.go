@@ -18,9 +18,9 @@ import (
 // hospital builds Table 1 of the paper.
 func hospital(t testing.TB) *table.Table {
 	t.Helper()
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewAttribute("Age"), table.NewAttribute("Gender"), table.NewAttribute("Education")},
-		table.NewAttribute("Disease")))
+		table.NewAttribute("Disease")), 0)
 	rows := [][4]string{
 		{"<30", "M", "Master", "HIV"},
 		{"<30", "M", "Master", "HIV"},
@@ -34,11 +34,11 @@ func hospital(t testing.TB) *table.Table {
 		{">=50", "F", "HighSch", "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 // TestHomogeneityAttackOnTable2 reproduces the Section 1 observation: the
@@ -91,9 +91,9 @@ func TestTable3BoundsConfidence(t *testing.T) {
 
 // TestAuditEmptyAndErrors covers the degenerate paths.
 func TestAuditEmptyAndErrors(t *testing.T) {
-	empty := table.New(table.MustSchema(
+	empty := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0).Build()
 	g, err := generalize.Suppress(empty, generalize.NewPartition(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +117,11 @@ func TestLDiversityBoundsAdversaryQuick(t *testing.T) {
 		n := int(nRaw%60) + 10
 		l := int(lRaw%3) + 2
 		qi := []*table.Attribute{table.NewIntegerAttribute("A", 4), table.NewIntegerAttribute("B", 3)}
-		tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", l+2)))
+		tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", l+2)), 0)
 		for i := 0; i < n; i++ {
-			tbl.MustAppendRow([]int{rng.Intn(4), rng.Intn(3)}, rng.Intn(l+2))
+			tb.MustAppendRow([]int{rng.Intn(4), rng.Intn(3)}, rng.Intn(l+2))
 		}
+		tbl := tb.Build()
 		if !eligibility.IsEligibleTable(tbl, l) {
 			return true
 		}
@@ -142,16 +143,17 @@ func TestLDiversityBoundsAdversaryQuick(t *testing.T) {
 // TestRawTableFullyDisclosed checks the other extreme: publishing the
 // identity partition of a table with unique QI values discloses everyone.
 func TestRawTableFullyDisclosed(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 10)},
-		table.NewIntegerAttribute("S", 3)))
+		table.NewIntegerAttribute("S", 3)), 0)
 	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow([]int{i}, i%3)
+		tb.MustAppendRow([]int{i}, i%3)
 	}
 	groups := make([][]int, 10)
 	for i := range groups {
 		groups[i] = []int{i}
 	}
+	tbl := tb.Build()
 	rep, err := AuditPartition(tbl, generalize.NewPartition(groups))
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +205,11 @@ func TestAuditDeterministic(t *testing.T) {
 // value, or exact and set cells carrying codes outside the domain) leaves a
 // QI vector that no published group covers.
 func TestAuditRejectsUncoveredRecoding(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 3), table.NewIntegerAttribute("B", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for _, r := range [][3]int{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {2, 0, 0}, {2, 1, 1}} {
-		tbl.MustAppendRow([]int{r[0], r[1]}, r[2])
+		tb.MustAppendRow([]int{r[0], r[1]}, r[2])
 	}
 	star := generalize.Cell{Kind: generalize.CellStar}
 	exact := func(v int) generalize.Cell { return generalize.Cell{Kind: generalize.CellExact, Value: v} }
@@ -215,6 +217,7 @@ func TestAuditRejectsUncoveredRecoding(t *testing.T) {
 	all := [][]int{{0, 1, 2, 3, 4, 5}}
 	byA := [][]int{{0, 1}, {2, 3}, {4, 5}}
 	rows := [][]int{{0}, {1}, {2}, {3}, {4}, {5}}
+	tbl := tb.Build()
 	for _, tc := range []struct {
 		name   string
 		groups [][]int

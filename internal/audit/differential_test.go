@@ -45,7 +45,7 @@ func randomTable(t *testing.T, cfg diffConfig, rng *rand.Rand) *ldiv.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := ldiv.NewTable(schema)
+	tabb := ldiv.NewTableBuilder(schema)
 	weights := make([]float64, cfg.saCard)
 	totalW := 0.0
 	for v := range weights {
@@ -70,11 +70,11 @@ func randomTable(t *testing.T, cfg diffConfig, rng *rand.Rand) *ldiv.Table {
 			}
 			x -= w
 		}
-		if err := tab.AppendRow(row, sa); err != nil {
+		if err := tabb.AppendRow(row, sa); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tab
+	return tabb.Build()
 }
 
 // renderRelease produces the release bytes of one algorithm: (release, nil)

@@ -165,15 +165,15 @@ func oracleTable(rng *rand.Rand, n, d, qiDom, saDom int) *table.Table {
 	for j := range qi {
 		qi[j] = table.NewIntegerAttribute(fmt.Sprintf("A%d", j), qiDom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(qiDom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(saDom))
+		tb.MustAppendRow(row, rng.Intn(saDom))
 	}
-	return tbl
+	return tb.Build()
 }
 
 // sameWholeResult asserts every field of two results is equal.
@@ -205,18 +205,20 @@ func TestAssemblyMatchesSortingOracle(t *testing.T) {
 	cases = append(cases, tcase{"l=1", oracleTable(rng, 80, 2, 3, 5), 1})
 	// l larger than every group: all QI values distinct, so phase one sends
 	// every row to R.
-	distinct := table.New(table.MustSchema(
-		[]*table.Attribute{table.NewIntegerAttribute("A", 60)}, table.NewIntegerAttribute("S", 60)))
+	distinctb := table.NewBuilder(table.MustSchema(
+		[]*table.Attribute{table.NewIntegerAttribute("A", 60)}, table.NewIntegerAttribute("S", 60)), 0)
 	for i := 0; i < 60; i++ {
-		distinct.MustAppendRow([]int{i}, i%12)
+		distinctb.MustAppendRow([]int{i}, i%12)
 	}
+	distinct := distinctb.Build()
 	cases = append(cases, tcase{"l above every group", distinct, 4})
 	// Every group already l-eligible: the residue is empty at l = 3.
-	eligibleGroups := table.New(table.MustSchema(
-		[]*table.Attribute{table.NewIntegerAttribute("A", 10)}, table.NewIntegerAttribute("S", 3)))
+	eligibleGroupsb := table.NewBuilder(table.MustSchema(
+		[]*table.Attribute{table.NewIntegerAttribute("A", 10)}, table.NewIntegerAttribute("S", 3)), 0)
 	for i := 0; i < 60; i++ {
-		eligibleGroups.MustAppendRow([]int{i % 10}, (i/10)%3)
+		eligibleGroupsb.MustAppendRow([]int{i % 10}, (i/10)%3)
 	}
+	eligibleGroups := eligibleGroupsb.Build()
 	cases = append(cases, tcase{"empty residue", eligibleGroups, 3})
 
 	checked, emptyResidue, allResidue := 0, 0, 0

@@ -20,7 +20,7 @@ func skewedTable(rng *rand.Rand, n, d, qiDom, saDom int, exponent float64) *tabl
 	for j := range qi {
 		qi[j] = table.NewIntegerAttribute(fmt.Sprintf("A%d", j), qiDom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)), 0)
 	weights := make([]float64, saDom)
 	total := 0.0
 	for v := range weights {
@@ -45,9 +45,9 @@ func skewedTable(rng *rand.Rand, n, d, qiDom, saDom int, exponent float64) *tabl
 				break
 			}
 		}
-		tbl.MustAppendRow(row, sa)
+		tb.MustAppendRow(row, sa)
 	}
-	return tbl
+	return tb.Build()
 }
 
 // sameResult asserts deep equality of every field of two TP results.

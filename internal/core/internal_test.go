@@ -272,12 +272,13 @@ func TestPhaseOneLemma4(t *testing.T) {
 		for i := range sa {
 			sa[i] = rng.Intn(4)
 		}
-		tbl := table.New(table.MustSchema(
+		tb := table.NewBuilder(table.MustSchema(
 			[]*table.Attribute{table.NewIntegerAttribute("A", 1)},
-			table.NewIntegerAttribute("S", 4)))
+			table.NewIntegerAttribute("S", 4)), 0)
 		for _, v := range sa {
-			tbl.MustAppendRow([]int{0}, v)
+			tb.MustAppendRow([]int{0}, v)
 		}
+		tbl := tb.Build()
 		groups := tbl.GroupByQI()
 		st := newState(tbl, groups, l, 1)
 		st.phaseOne()
@@ -325,17 +326,17 @@ func TestPhaseTwoPreservesHeight(t *testing.T) {
 		for j := range qi {
 			qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), 3)
 		}
-		tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+		tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 		row := make([]int, d)
 		for i := 0; i < n; i++ {
 			for j := range row {
 				row[j] = rng.Intn(3)
 			}
-			tbl.MustAppendRow(row, rng.Intn(m))
+			tb.MustAppendRow(row, rng.Intn(m))
 		}
-		hist := tbl.SAHistogram()
+		tbl := tb.Build()
 		maxC := 0
-		for _, c := range hist {
+		for _, c := range tbl.SACounts() {
 			if c > maxC {
 				maxC = c
 			}

@@ -63,9 +63,14 @@ func (r *Result) Generalize(t *table.Table) (*generalize.Generalized, error) {
 }
 
 // Stars returns the number of stars in the suppression generalization of the
-// result's partition, the objective of star minimization (Problem 1).
+// result's partition, the objective of star minimization (Problem 1). t must
+// be the table r was computed from; it panics otherwise.
 func (r *Result) Stars(t *table.Table) int {
-	return generalize.StarsForPartition(t, r.Partition())
+	g, err := r.Generalize(t)
+	if err != nil {
+		panic(err)
+	}
+	return g.Stars()
 }
 
 // residueOwner marks a row of R in an owner array (see assemble).

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ldiv/internal/bruteforce"
 	"ldiv/internal/core"
 	"ldiv/internal/eligibility"
 	"ldiv/internal/hilbert"
@@ -15,9 +14,9 @@ import (
 // hospital builds Table 1 of the paper.
 func hospital(t testing.TB) *table.Table {
 	t.Helper()
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewAttribute("Age"), table.NewAttribute("Gender"), table.NewAttribute("Education")},
-		table.NewAttribute("Disease")))
+		table.NewAttribute("Disease")), 0)
 	rows := [][4]string{
 		{"<30", "M", "Master", "HIV"},
 		{"<30", "M", "Master", "HIV"},
@@ -31,11 +30,11 @@ func hospital(t testing.TB) *table.Table {
 		{">=50", "F", "HighSch", "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 // groupTable builds a table with one QI attribute (one value per group) whose
@@ -49,17 +48,17 @@ func groupTable(t testing.TB, groups [][]int) *table.Table {
 			m = len(g)
 		}
 	}
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("G", len(groups))},
-		table.NewIntegerAttribute("S", m)))
+		table.NewIntegerAttribute("S", m)), 0)
 	for gi, hist := range groups {
 		for v, cnt := range hist {
 			for c := 0; c < cnt; c++ {
-				tbl.MustAppendRow([]int{gi}, v)
+				tb.MustAppendRow([]int{gi}, v)
 			}
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func checkResult(t *testing.T, tbl *table.Table, res *core.Result, l int) {
@@ -148,8 +147,7 @@ func TestPhaseTwoExample(t *testing.T) {
 	if res.RemovedByPhase[1] != 8 {
 		t.Errorf("phase one removed %d tuples, want 8 (all of Q3)", res.RemovedByPhase[1])
 	}
-	hist := saHistogramOf(tbl, res.Residue)
-	if h := eligibility.MaxFrequency(hist); h != 4 {
+	if h := tbl.SAGroupCounter().MaxCount(res.Residue); h != 4 {
 		t.Errorf("h(R) = %d, want 4 (Lemma 5)", h)
 	}
 	if n := len(res.Residue); n < 12 || n > 14 {
@@ -184,15 +182,15 @@ func randomTable(rng *rand.Rand, n, d, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(dom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(m))
+		tb.MustAppendRow(row, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 // TestAgainstBruteForce verifies the approximation guarantees empirically on
@@ -220,7 +218,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		}
 		checkResult(t, tbl, res, l)
 
-		optTuples, _, err := bruteforce.OptimalSuppressedTuples(tbl, l)
+		optTuples, _, err := optimalSuppressedTuples(tbl, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +232,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			t.Fatalf("phase-2 termination with |R| = %d but OPT+l-1 = %d", res.SuppressedTuples(), optTuples+l-1)
 		}
 
-		optStars, _, err := bruteforce.OptimalStars(tbl, l)
+		optStars, _, err := optimalStars(tbl, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +263,7 @@ func TestL2AgainstOptimalPlusOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := bruteforce.OptimalSuppressedTuples(tbl, 2)
+		opt, _, err := optimalSuppressedTuples(tbl, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func BenchTable(rows, d, qiDom, saDom int, zipf bool, seed int64) *table.Table {
 	for j := range qi {
 		qi[j] = table.NewIntegerAttribute(fmt.Sprintf("Q%c", 'A'+j), qiDom)
 	}
-	t := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", saDom)), 0)
 	var z *rand.Zipf
 	if zipf {
 		z = rand.NewZipf(rng, 1.5, 16, uint64(saDom-1))
@@ -39,9 +39,9 @@ func BenchTable(rows, d, qiDom, saDom int, zipf bool, seed int64) *table.Table {
 		} else {
 			sa = rng.Intn(saDom)
 		}
-		t.MustAppendRow(row, sa)
+		tb.MustAppendRow(row, sa)
 	}
-	return t
+	return tb.Build()
 }
 
 // Phase3HeavyTable returns a table engineered so that TP with phase two
@@ -75,17 +75,17 @@ func Phase3HeavyTable(l, sheddingGroups, coverGroups int) *table.Table {
 
 	saDom := p + fillerA + fillerPool
 	groups := sheddingGroups + coverGroups
-	t := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("G", groups)},
-		table.NewIntegerAttribute("S", saDom)))
+		table.NewIntegerAttribute("S", saDom)), 0)
 
 	for g := 0; g < sheddingGroups; g++ {
 		heavy := g % p
 		for c := 0; c < l+1; c++ {
-			t.MustAppendRow([]int{g}, heavy)
+			tb.MustAppendRow([]int{g}, heavy)
 		}
 		for f := 0; f < fillerA; f++ {
-			t.MustAppendRow([]int{g}, p+f)
+			tb.MustAppendRow([]int{g}, p+f)
 		}
 	}
 	for b := 0; b < coverGroups; b++ {
@@ -94,15 +94,15 @@ func Phase3HeavyTable(l, sheddingGroups, coverGroups int) *table.Table {
 		// two pillars of a cover group are always distinct.
 		for _, heavy := range []int{b % p, (b + 1 + (b/p)%(p-1)) % p} {
 			for c := 0; c < 3; c++ {
-				t.MustAppendRow([]int{g}, heavy)
+				tb.MustAppendRow([]int{g}, heavy)
 			}
 		}
 		for f := 0; f < fillerPerCover; f++ {
 			v := p + fillerA + (b*fillerPerCover+f)%fillerPool
 			for c := 0; c < 2; c++ {
-				t.MustAppendRow([]int{g}, v)
+				tb.MustAppendRow([]int{g}, v)
 			}
 		}
 	}
-	return t
+	return tb.Build()
 }

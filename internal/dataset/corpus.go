@@ -248,7 +248,7 @@ func generateCorrSA(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Tier", 5),
 	}
 	sa := table.NewIntegerAttribute("Condition", corrSACard)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 
 	image := rng.Perm(corrSACard) // the Region -> Condition bijection
 	segment := newZipfShuffled(rng, 1.3, 8)
@@ -261,9 +261,9 @@ func generateCorrSA(cfg Config) (*table.Table, error) {
 		if rng.Float64() < rho {
 			s = image[r]
 		}
-		t.MustAppendRow(row, s)
+		tb.MustAppendRow(row, s)
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // validateCorrSA re-derives the correlation strength without knowing the
@@ -350,7 +350,7 @@ func generateHeavyTailSA(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Channel", 6),
 	}
 	sa := table.NewIntegerAttribute("Token", card)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 
 	site := newZipfShuffled(rng, 1.3, 24)
 	device := newZipfShuffled(rng, 1.2, 12)
@@ -360,9 +360,9 @@ func generateHeavyTailSA(cfg Config) (*table.Table, error) {
 	row := make([]int, len(qi))
 	for i := 0; i < cfg.Rows; i++ {
 		row[0], row[1], row[2] = site.sample(rng), device.sample(rng), rng.Intn(6)
-		t.MustAppendRow(row, tail.sample(rng))
+		tb.MustAppendRow(row, tail.sample(rng))
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // validateHeavyTailSA asserts the two halves of the property: genuinely many
@@ -425,7 +425,7 @@ func generateDeepTaxonomy(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Leaf", deepTaxonomyCards[2]),
 	}
 	sa := table.NewIntegerAttribute("Outcome", 20)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 
 	saSampler := newWeightedSampler(rng, 20, 6)
 	hot := func(card int, hotP float64) int {
@@ -439,9 +439,9 @@ func generateDeepTaxonomy(cfg Config) (*table.Table, error) {
 		row[0] = hot(deepTaxonomyCards[0], 0.70)
 		row[1] = hot(deepTaxonomyCards[1], 0.60)
 		row[2] = hot(deepTaxonomyCards[2], 0.50)
-		t.MustAppendRow(row, saSampler.sample(rng))
+		tb.MustAppendRow(row, saSampler.sample(rng))
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // validateDeepTaxonomy asserts depth (large domains), imbalance (the hot
@@ -504,7 +504,7 @@ func generateNearDuplicate(cfg Config) (*table.Table, error) {
 		qi[j] = table.NewIntegerAttribute(names[j], c)
 	}
 	sa := table.NewIntegerAttribute("Label", 16)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 
 	sigCount := cfg.Rows / 24
 	if sigCount < 4 {
@@ -527,9 +527,9 @@ func generateNearDuplicate(cfg Config) (*table.Table, error) {
 			j := rng.Intn(len(cards))
 			row[j] = (row[j] + 1) % cards[j]
 		}
-		t.MustAppendRow(row, saSampler.sample(rng))
+		tb.MustAppendRow(row, saSampler.sample(rng))
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // validateNearDuplicate asserts heavy duplication: far fewer distinct QI
@@ -574,13 +574,13 @@ func generateSingleGroup(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Z", 2),
 	}
 	sa := table.NewIntegerAttribute("Status", 8)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 	perm := rng.Perm(8)
 	row := []int{0, 0, 0}
 	for i := 0; i < cfg.Rows; i++ {
-		t.MustAppendRow(row, perm[i%8])
+		tb.MustAppendRow(row, perm[i%8])
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 func validateSingleGroup(t *table.Table, cfg Config) error {
@@ -609,14 +609,14 @@ func generateDistinctSA(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Q", 4),
 	}
 	sa := table.NewIntegerAttribute("Token", cfg.Rows)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 	perm := rng.Perm(cfg.Rows)
 	row := make([]int, 2)
 	for i := 0; i < cfg.Rows; i++ {
 		row[0], row[1] = rng.Intn(6), rng.Intn(4)
-		t.MustAppendRow(row, perm[i])
+		tb.MustAppendRow(row, perm[i])
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 func validateDistinctSA(t *table.Table, cfg Config) error {
@@ -673,15 +673,15 @@ func generateSACardL(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("V", 5),
 	}
 	sa := table.NewIntegerAttribute("Class", l)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), rows)
 	u := newZipfShuffled(rng, 1.2, 8)
 	perm := rng.Perm(l)
 	row := make([]int, 2)
 	for i := 0; i < rows; i++ {
 		row[0], row[1] = u.sample(rng), rng.Intn(5)
-		t.MustAppendRow(row, perm[i%l])
+		tb.MustAppendRow(row, perm[i%l])
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 func validateSACardL(t *table.Table, cfg Config) error {
@@ -714,14 +714,14 @@ func generateOneRowGroups(cfg Config) (*table.Table, error) {
 		table.NewIntegerAttribute("Noise", 12),
 	}
 	sa := table.NewIntegerAttribute("Label", 12)
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 	saSampler := newWeightedSampler(rng, 12, 10)
 	row := make([]int, 2)
 	for i := 0; i < cfg.Rows; i++ {
 		row[0], row[1] = i, rng.Intn(12)
-		t.MustAppendRow(row, saSampler.sample(rng))
+		tb.MustAppendRow(row, saSampler.sample(rng))
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 func validateOneRowGroups(t *table.Table, cfg Config) error {

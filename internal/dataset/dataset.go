@@ -77,7 +77,7 @@ func generate(cfg Config, saName string, saCard int) (*table.Table, error) {
 	sa := table.NewIntegerAttribute(saName, saCard)
 	// The row count is known up front, so the table's column arena is
 	// allocated exactly once and the append loop below never reallocates.
-	t := table.NewWithCapacity(table.MustSchema(qi, sa), cfg.Rows)
+	tb := table.NewBuilder(table.MustSchema(qi, sa), cfg.Rows)
 
 	// Skewed samplers per attribute. Zipf exponents are mild so that every
 	// value still occurs, matching the heavy-but-not-degenerate skew of
@@ -123,11 +123,11 @@ func generate(cfg Config, saName string, saCard int) (*table.Table, error) {
 		}
 
 		row[0], row[1], row[2], row[3], row[4], row[5], row[6] = a, g, r, m, b, e, w
-		if err := t.AppendRow(row, s); err != nil {
+		if err := tb.AppendRow(row, s); err != nil {
 			return nil, err
 		}
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // zipfShuffled samples Zipf-distributed ranks and maps them through a random

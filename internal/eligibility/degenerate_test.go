@@ -15,9 +15,9 @@ import (
 // internal/dataset (which imports eligibility) without a cycle.
 
 func emptyTable() *table.Table {
-	return table.New(table.MustSchema(
+	return table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 10)))
+		table.NewIntegerAttribute("S", 10)), 0).Build()
 }
 
 func TestEmptyTableEligibility(t *testing.T) {

@@ -7,39 +7,9 @@ import (
 	"ldiv/internal/table"
 )
 
-// MaxFrequency returns the largest count in a sensitive-value histogram
-// (the "pillar height" h(S) of Section 5), and 0 for an empty histogram.
-func MaxFrequency(hist map[int]int) int {
-	max := 0
-	for _, c := range hist {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// IsEligibleHistogram reports whether a multiset with the given sensitive
-// value histogram is l-eligible: at most |S|/l of the tuples share one
-// sensitive value, i.e. |S| >= l * h(S), evaluated as h(S) <= |S|/l so an
-// unbounded caller-supplied l cannot overflow the product. The empty set is
-// l-eligible.
-func IsEligibleHistogram(hist map[int]int, l int) bool {
-	if l <= 1 {
-		return true
-	}
-	total := 0
-	for _, c := range hist {
-		total += c
-	}
-	return MaxFrequency(hist) <= total/l
-}
-
-// MaxFrequencyCounts is MaxFrequency for a dense count slice indexed by
-// sensitive value code (as produced by Table.SACounts): it returns the
-// largest count, and 0 for an empty slice. It is the allocation-free fast
-// path used by the flat TP core; the map-based MaxFrequency remains the
-// compatibility API for sparse histograms.
+// MaxFrequencyCounts returns the largest count in a dense sensitive-value
+// histogram indexed by code (as produced by Table.SACounts): the "pillar
+// height" h(S) of Section 5, and 0 for an empty slice.
 func MaxFrequencyCounts(counts []int) int {
 	max := 0
 	for _, c := range counts {
@@ -50,9 +20,12 @@ func MaxFrequencyCounts(counts []int) int {
 	return max
 }
 
-// IsEligibleCounts is IsEligibleHistogram for a dense count slice indexed by
-// sensitive value code: it reports |S| >= l * h(S) where |S| is the sum of
-// the counts and h(S) their maximum. The empty multiset is l-eligible.
+// IsEligibleCounts reports whether a multiset with the given dense
+// sensitive-value histogram (indexed by code) is l-eligible: at most |S|/l
+// of the tuples share one sensitive value, i.e. |S| >= l * h(S) where |S| is
+// the sum of the counts and h(S) their maximum, evaluated as h(S) <= |S|/l so
+// an unbounded caller-supplied l cannot overflow the product. The empty
+// multiset is l-eligible.
 func IsEligibleCounts(counts []int, l int) bool {
 	if l <= 1 {
 		return true

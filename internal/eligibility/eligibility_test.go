@@ -10,49 +10,63 @@ import (
 
 func smallTable(t *testing.T, saValues []int) *table.Table {
 	t.Helper()
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 10)))
+		table.NewIntegerAttribute("S", 10)), 0)
 	for i, v := range saValues {
-		tbl.MustAppendRow([]int{i % 4}, v)
+		tb.MustAppendRow([]int{i % 4}, v)
 	}
-	return tbl
+	return tb.Build()
 }
 
-func TestMaxFrequency(t *testing.T) {
-	if MaxFrequency(nil) != 0 {
-		t.Error("empty histogram should have max frequency 0")
-	}
-	if got := MaxFrequency(map[int]int{1: 3, 2: 5, 3: 1}); got != 5 {
-		t.Errorf("MaxFrequency = %d, want 5", got)
-	}
-}
-
-func TestIsEligibleHistogram(t *testing.T) {
+func TestIsEligibleCounts(t *testing.T) {
 	cases := []struct {
-		hist map[int]int
-		l    int
-		want bool
+		counts []int
+		l      int
+		want   bool
 	}{
-		{map[int]int{}, 3, true},
-		{map[int]int{1: 1}, 1, true},
-		{map[int]int{1: 1}, 2, false},
-		{map[int]int{1: 1, 2: 1}, 2, true},
-		{map[int]int{1: 2, 2: 1}, 2, false},
-		{map[int]int{1: 2, 2: 2}, 2, true},
-		{map[int]int{1: 2, 2: 1, 3: 1}, 2, true},
-		{map[int]int{1: 3, 2: 3, 3: 3}, 3, true},
-		{map[int]int{1: 4, 2: 3, 3: 3}, 3, false},
+		{[]int{}, 3, true},
+		{[]int{0, 1}, 1, true},
+		{[]int{0, 1}, 2, false},
+		{[]int{0, 1, 1}, 2, true},
+		{[]int{0, 2, 1}, 2, false},
+		{[]int{0, 2, 2}, 2, true},
+		{[]int{0, 2, 1, 1}, 2, true},
+		{[]int{0, 3, 3, 3}, 3, true},
+		{[]int{0, 4, 3, 3}, 3, false},
 	}
 	for i, c := range cases {
-		if got := IsEligibleHistogram(c.hist, c.l); got != c.want {
-			t.Errorf("case %d: IsEligibleHistogram(%v, %d) = %v, want %v", i, c.hist, c.l, got, c.want)
+		if got := IsEligibleCounts(c.counts, c.l); got != c.want {
+			t.Errorf("case %d: IsEligibleCounts(%v, %d) = %v, want %v", i, c.counts, c.l, got, c.want)
 		}
 	}
 }
 
-// TestCountsFastPaths checks the dense-slice fast paths against the map API
-// on fixed cases and random histograms.
+// histMax and histEligible are the sparse-map forms of MaxFrequencyCounts
+// and IsEligibleCounts, the oracles of the dense paths.
+func histMax(hist map[int]int) int {
+	max := 0
+	for _, c := range hist {
+		if c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+func histEligible(hist map[int]int, l int) bool {
+	if l <= 1 {
+		return true
+	}
+	total := 0
+	for _, c := range hist {
+		total += c
+	}
+	return histMax(hist) <= total/l
+}
+
+// TestCountsFastPaths checks the dense-slice paths against map histograms on
+// fixed cases and random histograms.
 func TestCountsFastPaths(t *testing.T) {
 	if MaxFrequencyCounts(nil) != 0 {
 		t.Error("empty counts should have max frequency 0")
@@ -77,12 +91,12 @@ func TestCountsFastPaths(t *testing.T) {
 				hist[v] = c
 			}
 		}
-		if MaxFrequencyCounts(counts) != MaxFrequency(hist) {
-			t.Fatalf("trial %d: MaxFrequencyCounts(%v) != MaxFrequency(%v)", trial, counts, hist)
+		if MaxFrequencyCounts(counts) != histMax(hist) {
+			t.Fatalf("trial %d: MaxFrequencyCounts(%v) != histMax(%v)", trial, counts, hist)
 		}
 		for l := 1; l <= 4; l++ {
-			if IsEligibleCounts(counts, l) != IsEligibleHistogram(hist, l) {
-				t.Fatalf("trial %d: IsEligibleCounts(%v, %d) disagrees with map API", trial, counts, l)
+			if IsEligibleCounts(counts, l) != histEligible(hist, l) {
+				t.Fatalf("trial %d: IsEligibleCounts(%v, %d) disagrees with the map histogram", trial, counts, l)
 			}
 		}
 	}
@@ -91,8 +105,12 @@ func TestCountsFastPaths(t *testing.T) {
 // TestCountsAgreeWithTable ties the fast paths to Table.SACounts.
 func TestCountsAgreeWithTable(t *testing.T) {
 	tbl := smallTable(t, []int{0, 0, 1, 2, 2, 2})
-	if got, want := MaxFrequencyCounts(tbl.SACounts()), MaxFrequency(tbl.SAHistogram()); got != want {
-		t.Errorf("MaxFrequencyCounts = %d, MaxFrequency = %d", got, want)
+	hist := make(map[int]int)
+	for _, v := range tbl.SAView() {
+		hist[v]++
+	}
+	if got, want := MaxFrequencyCounts(tbl.SACounts()), histMax(hist); got != want {
+		t.Errorf("MaxFrequencyCounts = %d, map histogram max = %d", got, want)
 	}
 	for l := 1; l <= 4; l++ {
 		if IsEligibleCounts(tbl.SACounts(), l) != IsEligibleTable(tbl, l) {
@@ -160,7 +178,7 @@ func TestMonotonicityQuick(t *testing.T) {
 				h[v] = 1 + rng.Intn(max)
 			}
 			// Pad the least frequent values until eligible.
-			for !IsEligibleHistogram(h, l) {
+			for !histEligible(h, l) {
 				minV := 0
 				for v := range h {
 					if h[v] < h[minV] {
@@ -172,7 +190,7 @@ func TestMonotonicityQuick(t *testing.T) {
 			return h
 		}
 		h1, h2 := build(), build()
-		if !IsEligibleHistogram(h1, l) || !IsEligibleHistogram(h2, l) {
+		if !histEligible(h1, l) || !histEligible(h2, l) {
 			return false
 		}
 		union := make(map[int]int)
@@ -182,7 +200,7 @@ func TestMonotonicityQuick(t *testing.T) {
 		for v, c := range h2 {
 			union[v] += c
 		}
-		return IsEligibleHistogram(union, l)
+		return histEligible(union, l)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -9,13 +9,13 @@ import (
 )
 
 func principleTable(saValues []int) *table.Table {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 16)))
+		table.NewIntegerAttribute("S", 16)), 0)
 	for i, v := range saValues {
-		tbl.MustAppendRow([]int{i % 4}, v)
+		tb.MustAppendRow([]int{i % 4}, v)
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestEntropyLDiversity(t *testing.T) {

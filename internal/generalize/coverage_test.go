@@ -58,15 +58,16 @@ func TestCoverageMatchesCellCovers(t *testing.T) {
 // index out of range, and a group whose exact cells disagree with its rows is
 // general, not exact.
 func TestCoverageSkipsOutOfDomainCodes(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 3), table.NewIntegerAttribute("B", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for _, r := range [][3]int{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {2, 0, 0}, {2, 1, 1}} {
-		tbl.MustAppendRow([]int{r[0], r[1]}, r[2])
+		tb.MustAppendRow([]int{r[0], r[1]}, r[2])
 	}
 	exact := func(v int) generalize.Cell { return generalize.Cell{Kind: generalize.CellExact, Value: v} }
 	set := func(vs ...int) generalize.Cell { return generalize.Cell{Kind: generalize.CellSet, Set: vs} }
 	rows := [][]int{{0}, {1}, {2}, {3}, {4}, {5}}
+	tbl := tb.Build()
 	for name, cellOf := range map[string][][]generalize.Cell{
 		"exact": {{exact(0), exact(-1), exact(9)}, {exact(0), exact(1)}},
 		"set":   {{set(-2, 0), set(1, 2, 3), set(1, 2, 3)}, {exact(0), set(0, 1, 2)}},

@@ -19,7 +19,7 @@ func csvTable(t *testing.T) *table.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := table.New(schema)
+	tb := table.NewBuilder(schema, 0)
 	for _, row := range [][3]string{
 		{"30", "M", "flu"},
 		{"30", "F", "cold"},
@@ -27,11 +27,11 @@ func csvTable(t *testing.T) *table.Table {
 		{"40", "M", "cold"},
 		{"50", "F", "angina"},
 	} {
-		if err := tbl.AppendLabels([]string{row[0], row[1]}, row[2]); err != nil {
+		if err := tb.AppendLabels([]string{row[0], row[1]}, row[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestWriteCSVRendersStarsAndRoundTrips(t *testing.T) {

@@ -287,26 +287,6 @@ func (g *Generalized) SuppressedTuples() int {
 	return count
 }
 
-// StarsForPartition counts, without materializing cells, the number of stars
-// the suppression generalization of partition p would contain.
-func StarsForPartition(t *table.Table, p *Partition) int {
-	stars := 0
-	d := t.Dimensions()
-	for j := 0; j < d; j++ {
-		col := t.Col(j)
-		for _, g := range p.Groups {
-			first := col[g[0]]
-			for _, r := range g[1:] {
-				if col[r] != first {
-					stars += len(g)
-					break
-				}
-			}
-		}
-	}
-	return stars
-}
-
 // String renders a human-readable listing of a generalized table, truncated
 // after 50 rows.
 func (g *Generalized) String() string {

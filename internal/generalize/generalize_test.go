@@ -12,9 +12,9 @@ import (
 // hospital builds Table 1 of the paper.
 func hospital(t *testing.T) *table.Table {
 	t.Helper()
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewAttribute("Age"), table.NewAttribute("Gender"), table.NewAttribute("Education")},
-		table.NewAttribute("Disease")))
+		table.NewAttribute("Disease")), 0)
 	rows := [][4]string{
 		{"<30", "M", "Master", "HIV"},
 		{"<30", "M", "Master", "HIV"},
@@ -28,11 +28,11 @@ func hospital(t *testing.T) *table.Table {
 		{">=50", "F", "HighSch", "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestPartitionValidate(t *testing.T) {
@@ -93,8 +93,8 @@ func TestTable3Suppression(t *testing.T) {
 	if got := g.SuppressedTuples(); got != 4 {
 		t.Errorf("Table 3 suppresses 4 tuples, got %d", got)
 	}
-	if got := StarsForPartition(tbl, p); got != 8 {
-		t.Errorf("StarsForPartition = %d, want 8", got)
+	if got := partitionStars(tbl, p); got != 8 {
+		t.Errorf("partitionStars = %d, want 8", got)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestCellHelpers(t *testing.T) {
 }
 
 // Property: for random partitions, Stars() of the suppressed table equals
-// StarsForPartition, and suppressed tuples never exceed stars which never
+// partitionStars, and suppressed tuples never exceed stars which never
 // exceed d * suppressed tuples (the inequality used in Lemma 2).
 func TestStarsBoundsQuick(t *testing.T) {
 	tbl := hospital(t)
@@ -169,7 +169,7 @@ func TestStarsBoundsQuick(t *testing.T) {
 			return false
 		}
 		stars := g.Stars()
-		if stars != StarsForPartition(tbl, p) {
+		if stars != partitionStars(tbl, p) {
 			return false
 		}
 		sup := g.SuppressedTuples()
@@ -224,4 +224,22 @@ func TestMultiDimensionalDominatesSuppressionQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// partitionStars counts, without materializing cells, the stars of the
+// suppression generalization of p: the oracle of Generalized.Stars.
+func partitionStars(t *table.Table, p *Partition) int {
+	stars := 0
+	for j := 0; j < t.Dimensions(); j++ {
+		col := t.Col(j)
+		for _, g := range p.Groups {
+			for _, r := range g[1:] {
+				if col[r] != col[g[0]] {
+					stars += len(g)
+					break
+				}
+			}
+		}
+	}
+	return stars
 }

@@ -146,12 +146,13 @@ func TestRecodedPartitionsMatchCellGrouping(t *testing.T) {
 }
 
 func TestRecodeRejectsMalformedInput(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
-	tbl.MustAppendRow([]int{0}, 0)
-	tbl.MustAppendRow([]int{1}, 1)
+		table.NewIntegerAttribute("S", 2)), 0)
+	tb.MustAppendRow([]int{0}, 0)
+	tb.MustAppendRow([]int{1}, 1)
 	cellOf := [][]generalize.Cell{{{Kind: generalize.CellExact, Value: 0}, {Kind: generalize.CellExact, Value: 1}}}
+	tbl := tb.Build()
 	if _, err := generalize.Recode(tbl, [][]int{{0}, {1}}, cellOf); err != nil {
 		t.Fatalf("valid recoding rejected: %v", err)
 	}

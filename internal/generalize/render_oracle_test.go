@@ -101,9 +101,9 @@ func TestWriteCSVQuotesLikeOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := table.New(schema)
+	tb := table.NewBuilder(schema, 0)
 	for i := 0; i < 2*len(awkward); i++ {
-		tbl.MustAppendRow([]int{i % len(awkward), i / len(awkward)}, (3*i+1)%len(awkward))
+		tb.MustAppendRow([]int{i % len(awkward), i / len(awkward)}, (3*i+1)%len(awkward))
 	}
 	partitions := map[string][][]int{
 		"singletons":  nil,
@@ -112,6 +112,7 @@ func TestWriteCSVQuotesLikeOracle(t *testing.T) {
 		"one group":   {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
 		"reversed":    {{15, 14}, {13, 12, 11}, {10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
 	}
+	tbl := tb.Build()
 	for r := 0; r < tbl.Len(); r++ {
 		partitions["singletons"] = append(partitions["singletons"], []int{r})
 	}

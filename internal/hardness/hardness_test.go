@@ -7,6 +7,7 @@ import (
 	"ldiv/internal/core"
 	"ldiv/internal/eligibility"
 	"ldiv/internal/generalize"
+	"ldiv/internal/table"
 )
 
 // figure1Instance is the example of Figure 1a: D1={1,2,3,4}, D2={a,b,c,d},
@@ -146,7 +147,7 @@ func TestLemma3YesDirection(t *testing.T) {
 	if err := red.CheckUsefulGroups(p); err != nil {
 		t.Fatal(err)
 	}
-	stars := generalize.StarsForPartition(red.Table, p)
+	stars := suppressedStars(t, red.Table, p)
 	if stars != red.StarsTarget() {
 		t.Errorf("stars = %d, want 3n(d-1) = %d", stars, red.StarsTarget())
 	}
@@ -176,7 +177,7 @@ func TestNoMatchingInstance(t *testing.T) {
 		t.Fatal("TP output on the reduction table is not 3-diverse")
 	}
 	// Property 4: any 3-diverse generalization has at least 3n(d-1) stars.
-	if stars := generalize.StarsForPartition(red.Table, p); stars < red.StarsTarget() {
+	if stars := suppressedStars(t, red.Table, p); stars < red.StarsTarget() {
 		t.Errorf("stars = %d below the Property 4 lower bound %d", stars, red.StarsTarget())
 	}
 }
@@ -202,7 +203,7 @@ func TestProperty4LowerBound(t *testing.T) {
 		if !eligibility.IsLDiversePartition(red.Table, p.Groups, 3) {
 			continue
 		}
-		if stars := generalize.StarsForPartition(red.Table, p); stars < red.StarsTarget() {
+		if stars := suppressedStars(t, red.Table, p); stars < red.StarsTarget() {
 			t.Fatalf("3-diverse partition with %d stars violates the %d lower bound", stars, red.StarsTarget())
 		}
 	}
@@ -262,4 +263,14 @@ func TestSolve3DMOnRandomInstances(t *testing.T) {
 			u1[p[0]], u2[p[1]], u3[p[2]] = true, true, true
 		}
 	}
+}
+
+// suppressedStars counts the stars of p's suppression generalization.
+func suppressedStars(t testing.TB, tbl *table.Table, p *generalize.Partition) int {
+	t.Helper()
+	g, err := generalize.Suppress(tbl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Stars()
 }

@@ -71,7 +71,7 @@ func Build(in *Instance3DM, m int) (*Reduction, error) {
 		qi[i] = table.NewIntegerAttribute(fmt.Sprintf("A%d", i+1), m+1)
 	}
 	sa := table.NewIntegerAttribute("B", m+1)
-	t := table.New(table.MustSchema(qi, sa))
+	tb := table.NewBuilder(table.MustSchema(qi, sa), 0)
 
 	saOfRow := make([]int, 3*n)
 	for j1 := 1; j1 <= 3*n; j1++ { // 1-based row index, as in the paper
@@ -86,11 +86,11 @@ func Build(in *Instance3DM, m int) (*Reduction, error) {
 				row[i] = u
 			}
 		}
-		if err := t.AppendRow(row, u); err != nil {
+		if err := tb.AppendRow(row, u); err != nil {
 			return nil, err
 		}
 	}
-	return &Reduction{Instance: in, M: m, Table: t, SAOfRow: saOfRow}, nil
+	return &Reduction{Instance: in, M: m, Table: tb.Build(), SAOfRow: saOfRow}, nil
 }
 
 // valueOfRow maps the 1-based row index j to the domain (0, 1 or 2) and the

@@ -147,15 +147,15 @@ func randomTable(rng *rand.Rand, n, d, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(dom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(m))
+		tb.MustAppendRow(row, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestSuppressorProducesLDiversePartition(t *testing.T) {
@@ -215,12 +215,13 @@ func TestSuppressorEmptyRows(t *testing.T) {
 func TestSuppressorGroupsAreSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const l = 4
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 16), table.NewIntegerAttribute("B", 16)},
-		table.NewIntegerAttribute("S", 8)))
+		table.NewIntegerAttribute("S", 8)), 0)
 	for i := 0; i < 400; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(16), rng.Intn(16)}, i%8)
+		tb.MustAppendRow([]int{rng.Intn(16), rng.Intn(16)}, i%8)
 	}
+	tbl := tb.Build()
 	p, err := NewSuppressor(l).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -241,20 +242,21 @@ func TestSuppressorGroupsAreSmall(t *testing.T) {
 func TestSuppressorLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const l = 2
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("X", 32), table.NewIntegerAttribute("Y", 32)},
-		table.NewIntegerAttribute("S", 4)))
+		table.NewIntegerAttribute("S", 4)), 0)
 	for c := 0; c < 10; c++ {
 		cx, cy := rng.Intn(28), rng.Intn(28)
 		for i := 0; i < 30; i++ {
-			tbl.MustAppendRow([]int{cx + rng.Intn(4), cy + rng.Intn(4)}, rng.Intn(4))
+			tb.MustAppendRow([]int{cx + rng.Intn(4), cy + rng.Intn(4)}, rng.Intn(4))
 		}
 	}
+	tbl := tb.Build()
 	p, err := NewSuppressor(l).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hilbertStars := generalize.StarsForPartition(tbl, p)
+	hilbertStars := suppressedStars(t, tbl, p)
 
 	// Random partition with similar group sizes.
 	perm := rng.Perm(tbl.Len())
@@ -266,7 +268,7 @@ func TestSuppressorLocality(t *testing.T) {
 		}
 		randGroups = append(randGroups, perm[start:end])
 	}
-	randStars := generalize.StarsForPartition(tbl, generalize.NewPartition(randGroups))
+	randStars := suppressedStars(t, tbl, generalize.NewPartition(randGroups))
 	if hilbertStars >= randStars {
 		t.Errorf("Hilbert grouping (%d stars) should beat random grouping (%d stars) on clustered data", hilbertStars, randStars)
 	}
@@ -308,4 +310,14 @@ func TestPartitionRowsCoverageQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// suppressedStars counts the stars of p's suppression generalization.
+func suppressedStars(t testing.TB, tbl *table.Table, p *generalize.Partition) int {
+	t.Helper()
+	g, err := generalize.Suppress(tbl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Stars()
 }

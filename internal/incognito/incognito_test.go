@@ -15,15 +15,15 @@ func randomTable(rng *rand.Rand, n, d, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(dom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(m))
+		tb.MustAppendRow(row, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestIncognitoProducesLDiverseFullDomain(t *testing.T) {
@@ -75,12 +75,13 @@ func TestIncognitoProducesLDiverseFullDomain(t *testing.T) {
 func TestIncognitoPrefersNoGeneralizationWhenPossible(t *testing.T) {
 	// A table whose identity grouping is already 2-diverse must come back at
 	// level 0 on every attribute with zero information loss.
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for i := 0; i < 16; i++ {
-		tbl.MustAppendRow([]int{i % 4}, (i/4)%2)
+		tb.MustAppendRow([]int{i % 4}, (i/4)%2)
 	}
+	tbl := tb.Build()
 	res, err := NewAnonymizer(2).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +103,13 @@ func TestIncognitoPrefersNoGeneralizationWhenPossible(t *testing.T) {
 func TestIncognitoForcedToGeneralize(t *testing.T) {
 	// Every QI value is unique, so level 0 cannot be 2-diverse and at least
 	// one attribute must be generalized.
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 16)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for i := 0; i < 16; i++ {
-		tbl.MustAppendRow([]int{i}, i%2)
+		tb.MustAppendRow([]int{i}, i%2)
 	}
+	tbl := tb.Build()
 	res, err := NewAnonymizer(2).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@
 // the architectural invariants this repository's guarantees rest on.
 //
 // Every guarantee the reproduction makes — byte-identical releases and
-// figures across worker counts, zero-copy columnar views with an
-// append-only/read-only contract, audit verdicts computed on full-width
+// figures across worker counts, zero-copy columnar views of read-only
+// tables, audit verdicts computed on full-width
 // saturating counts, bounded-queue backpressure that is never silently
 // dropped — was, before this suite, enforced only by tests and reviewer
 // vigilance. Each analyzer here turns one of those invariants into a
@@ -12,8 +12,8 @@
 //
 //   - detrange:   no nondeterministic iteration or clocks in packages whose
 //     bytes reach a release, a figure, or a verdict
-//   - viewsafety: no mutation of table views, no retention of zero-copy
-//     column slices across appends (PR 4 invariant 0)
+//   - viewsafety: no writes through a table's zero-copy column slices or
+//     its shared grouping (invariant 0: tables are read-only once built)
 //   - narrowconv: no unguarded narrowing of count-carrying integers (the
 //     PR 5 int32 bug class) outside the blessed internal/sat helpers
 //   - poolcheck:  no dropped TrySubmit backpressure verdicts, no

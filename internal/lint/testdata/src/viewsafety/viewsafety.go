@@ -1,6 +1,6 @@
-// Package viewsafety is golden testdata for the viewsafety analyzer:
-// mutation of zero-copy projections, retention of borrowed column slices
-// across appends, and writes into the memoized GroupByQI result.
+// Package viewsafety is golden testdata for the viewsafety analyzer: writes
+// into the zero-copy Col and SAView slices and into the memoized GroupByQI
+// result.
 package viewsafety
 
 import (
@@ -10,144 +10,43 @@ import (
 	"ldiv/internal/table"
 )
 
-// appendToNamedProjection: mutating a projection variable.
-func appendToNamedProjection(t *table.Table, names []string) error {
-	v, err := t.ProjectNames(names)
-	if err != nil {
-		return err
-	}
-	v.MustAppendRow([]int{1}, 2) // want `MustAppendRow on v, which may be a zero-copy projection \(assigned from ProjectNames`
-	return nil
-}
-
-// appendToProjection: the (*Table, error) form taints the table result.
-func appendToProjection(t *table.Table) error {
-	p, err := t.Project([]int{0})
-	if err != nil {
-		return err
-	}
-	return p.AppendLabels([]string{"a"}, "b") // want `AppendLabels on p, which may be a zero-copy projection \(assigned from Project`
-}
-
-// appendToSubset: Subset and Sample copy their rows, so appends to their
-// results are fine, assigned or chained.
-func appendToSubset(t *table.Table, rows []int) error {
-	v := t.Subset(rows)
-	v.MustAppendRow([]int{1}, 2)
-	t.Subset(rows).MustAppendRow([]int{1}, 2)
-	return t.Sample(10).AppendRow([]int{1}, 2)
-}
-
-// cloneMakesItSafe: Clone materializes, so appends are fine.
-func cloneMakesItSafe(t *table.Table) error {
-	v, err := t.Project([]int{0})
-	if err != nil {
-		return err
-	}
-	v = v.Clone()
-	v.MustAppendRow([]int{1}, 2)
-	return nil
-}
-
-// chainedClone: Clone directly in the chain is fine too.
-func chainedClone(t *table.Table, names []string) error {
-	p, err := t.ProjectNames(names)
-	if err != nil {
-		return err
-	}
-	p.Clone().MustAppendRow([]int{1}, 2)
-	return nil
-}
-
-// appendToOwner: appending to a table that shares no columns is fine.
-func appendToOwner(t *table.Table) {
-	t.MustAppendRow([]int{1}, 2)
-}
-
-// suppressedProjectionAppend: a justified suppression silences the
-// diagnostic.
-func suppressedProjectionAppend(t *table.Table) {
-	p, _ := t.Project([]int{0})
-	//lint:ignore viewsafety exercised only on owning tables in this test helper
-	p.MustAppendRow([]int{1}, 2)
-}
-
-// staleColAfterAppend: a borrowed column slice used after an append on the
-// same table.
-func staleColAfterAppend(t *table.Table) int32 {
-	col := t.Col(0)
-	t.MustAppendRow([]int{1}, 2)
-	return col[0] // want `col was borrowed from t\.Col\(\) before an append on t`
-}
-
-// staleSAViewAfterAppend: same for the sensitive column.
-func staleSAViewAfterAppend(t *table.Table) int {
-	sa := t.SAView()
-	t.MustAppendRow([]int{1}, 2)
-	return sa[0] // want `sa was borrowed from t\.SAView\(\) before an append on t`
-}
-
-// refetchAfterAppend: re-borrowing after the append is the documented fix.
-func refetchAfterAppend(t *table.Table) int32 {
-	col := t.Col(0)
-	_ = col
-	t.MustAppendRow([]int{1}, 2)
-	col = t.Col(0)
-	return col[0]
-}
-
-// appendToOtherTable: appends to a different table do not invalidate.
-func appendToOtherTable(t, u *table.Table) int32 {
-	col := t.Col(0)
-	u.MustAppendRow([]int{1}, 2)
-	return col[0]
-}
-
-// useBeforeAppend: uses before the append are fine.
-func useBeforeAppend(t *table.Table) int32 {
-	col := t.Col(0)
-	v := col[0]
-	t.MustAppendRow([]int{1}, 2)
-	return v
-}
-
 // assignIntoGrouping: element writes into the result and into a group.
 func assignIntoGrouping(t *table.Table) {
 	groups := t.GroupByQI()
-	groups[0] = nil         // want `assignment to groups\[0\] writes into a GroupByQI result`
-	groups[1][0] = 7        // want `assignment to groups\[1\]\[0\] writes into a GroupByQI result`
-	t.GroupByQI()[0][0] = 1 // want `assignment to t\.GroupByQI\(\)\[0\]\[0\] writes into a GroupByQI result`
+	groups[0] = nil         // want `assignment to groups\[0\] writes into table storage`
+	groups[1][0] = 7        // want `assignment to groups\[1\]\[0\] writes into table storage`
+	t.GroupByQI()[0][0] = 1 // want `assignment to t\.GroupByQI\(\)\[0\]\[0\] writes into table storage`
 }
 
 // writeThroughRangedGroup: a ranged group and an indexed group stay tainted,
 // and so does a re-slice of one.
 func writeThroughRangedGroup(t *table.Table) {
 	for _, g := range t.GroupByQI() {
-		g[0]++ // want `assignment to g\[0\] writes into a GroupByQI result`
+		g[0]++ // want `assignment to g\[0\] writes into table storage`
 	}
 	groups := t.GroupByQI()
 	g := groups[0]
 	tail := g[1:]
-	tail[0] = 3 // want `assignment to tail\[0\] writes into a GroupByQI result`
+	tail[0] = 3 // want `assignment to tail\[0\] writes into table storage`
 }
 
 // sortGrouping: in-place sorts of a group or of the result.
 func sortGrouping(t *table.Table) {
 	groups := t.GroupByQI()
 	for _, g := range groups {
-		sort.Ints(g) // want `sort\.Ints on g writes into a GroupByQI result`
+		sort.Ints(g) // want `sort\.Ints on g writes into table storage`
 	}
-	slices.Sort(groups[0])                                                         // want `slices\.Sort on groups\[0\] writes into a GroupByQI result`
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] }) // want `sort\.Slice on groups writes into a GroupByQI result`
-	sort.Sort(sort.IntSlice(groups[1]))                                            // want `sort\.Sort on sort\.IntSlice\(groups\[1\]\) writes into a GroupByQI result`
+	slices.Sort(groups[0])                                                         // want `slices\.Sort on groups\[0\] writes into table storage`
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] }) // want `sort\.Slice on groups writes into table storage`
+	sort.Sort(sort.IntSlice(groups[1]))                                            // want `sort\.Sort on sort\.IntSlice\(groups\[1\]\) writes into table storage`
 }
 
 // appendToGrouping: append to a group or to the result, and copy into one.
 func appendToGrouping(t *table.Table, extra []int) [][]int {
 	groups := t.GroupByQI()
-	_ = append(groups[0], 5)     // want `append to groups\[0\] writes into a GroupByQI result`
-	copy(groups[1], extra)       // want `copy to groups\[1\] writes into a GroupByQI result`
-	return append(groups, extra) // want `append to groups writes into a GroupByQI result`
+	_ = append(groups[0], 5)     // want `append to groups\[0\] writes into table storage`
+	copy(groups[1], extra)       // want `copy to groups\[1\] writes into table storage`
+	return append(groups, extra) // want `append to groups writes into table storage`
 }
 
 // copyBeforeWriting: copies are the caller's own, and reads are fine.
@@ -167,7 +66,7 @@ func copyBeforeWriting(t *table.Table) int {
 // declaredGrouping: a var declaration taints like an assignment.
 func declaredGrouping(t *table.Table) {
 	var groups = t.GroupByQI()
-	groups[0] = nil // want `assignment to groups\[0\] writes into a GroupByQI result`
+	groups[0] = nil // want `assignment to groups\[0\] writes into table storage`
 }
 
 // suppressedGroupingWrite: a justified suppression silences the diagnostic.
@@ -175,4 +74,26 @@ func suppressedGroupingWrite(t *table.Table) {
 	groups := t.GroupByQI()
 	//lint:ignore viewsafety the table is private to this function and never grouped again
 	sort.Ints(groups[0])
+}
+
+// writeIntoColumn: a column slice aliases the table's arena.
+func writeIntoColumn(t *table.Table) {
+	col := t.Col(0)
+	col[0] = 1 // want `assignment to col\[0\] writes into table storage`
+}
+
+// sortSAView: sorting the SA view in place reorders the table's SA column.
+func sortSAView(t *table.Table) {
+	slices.Sort(t.SAView()) // want `slices\.Sort on t\.SAView\(\) writes into table storage`
+}
+
+// copyColumnFirst: reading a column, or copying it into a slice of one's
+// own, is fine.
+func copyColumnFirst(t *table.Table) int32 {
+	own := make([]int32, t.Len())
+	copy(own, t.Col(0))
+	own[0] = 2
+	sa := slices.Clone(t.SAView())
+	slices.Sort(sa)
+	return own[0] + t.Col(1)[0] + int32(sa[0])
 }

@@ -109,17 +109,17 @@ func twoSATable(rng *rand.Rand, pairs, d, dom int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", 2)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", 2)), 0)
 	row := make([]int, d)
 	for i := 0; i < pairs; i++ {
 		for _, sa := range []int{0, 1} {
 			for j := range row {
 				row[j] = rng.Intn(dom)
 			}
-			tbl.MustAppendRow(row, sa)
+			tb.MustAppendRow(row, sa)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestOptimalTwoDiverseValidity(t *testing.T) {
@@ -141,7 +141,7 @@ func TestOptimalTwoDiverseValidity(t *testing.T) {
 				t.Fatalf("group size %d, want 2", len(g))
 			}
 		}
-		if got := generalize.StarsForPartition(tbl, p); got != stars {
+		if got := suppressedStars(t, tbl, p); got != stars {
 			t.Fatalf("reported stars %d != recomputed %d", stars, got)
 		}
 	}
@@ -149,22 +149,24 @@ func TestOptimalTwoDiverseValidity(t *testing.T) {
 
 func TestOptimalTwoDiverseErrors(t *testing.T) {
 	// Three sensitive values.
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 3)))
+		table.NewIntegerAttribute("S", 3)), 0)
 	for i := 0; i < 3; i++ {
-		tbl.MustAppendRow([]int{0}, i)
+		tb.MustAppendRow([]int{0}, i)
 	}
+	tbl := tb.Build()
 	if _, _, err := OptimalTwoDiverse(tbl); err == nil {
 		t.Error("table with three SA values accepted")
 	}
 	// Unbalanced classes.
-	tbl2 := table.New(table.MustSchema(
+	tbl2b := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
-	tbl2.MustAppendRow([]int{0}, 0)
-	tbl2.MustAppendRow([]int{0}, 0)
-	tbl2.MustAppendRow([]int{1}, 1)
+		table.NewIntegerAttribute("S", 2)), 0)
+	tbl2b.MustAppendRow([]int{0}, 0)
+	tbl2b.MustAppendRow([]int{0}, 0)
+	tbl2b.MustAppendRow([]int{1}, 1)
+	tbl2 := tbl2b.Build()
 	if _, _, err := OptimalTwoDiverse(tbl2); err == nil {
 		t.Error("unbalanced table accepted")
 	}
@@ -193,10 +195,20 @@ func TestOptimalTwoDiverseIsOptimalQuick(t *testing.T) {
 		for i := range s1 {
 			naive[i] = []int{s1[i], s2[i]}
 		}
-		naiveStars := generalize.StarsForPartition(tbl, generalize.NewPartition(naive))
+		naiveStars := suppressedStars(t, tbl, generalize.NewPartition(naive))
 		return stars <= naiveStars
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// suppressedStars counts the stars of p's suppression generalization.
+func suppressedStars(t testing.TB, tbl *table.Table, p *generalize.Partition) int {
+	t.Helper()
+	g, err := generalize.Suppress(tbl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Stars()
 }

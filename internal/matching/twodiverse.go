@@ -20,21 +20,18 @@ import (
 // classes differ in size (in which case the table is not 2-eligible).
 func OptimalTwoDiverse(t *table.Table) (*generalize.Partition, int, error) {
 	var s1, s2 []int
-	hist := t.SAHistogram()
-	if len(hist) != 2 {
-		return nil, 0, fmt.Errorf("matching: table has %d distinct sensitive values, need exactly 2", len(hist))
-	}
-	var va, vb = -1, -1
-	for v := range hist {
-		if va == -1 || v < va {
-			vb = va
-			va = v
-		} else {
-			vb = v
+	// va is the smaller of the two values; its rows form s1.
+	va, distinct := -1, 0
+	for v, c := range t.SACounts() {
+		if c > 0 {
+			if distinct == 0 {
+				va = v
+			}
+			distinct++
 		}
 	}
-	if vb == -1 {
-		vb = va
+	if distinct != 2 {
+		return nil, 0, fmt.Errorf("matching: table has %d distinct sensitive values, need exactly 2", distinct)
 	}
 	for i, v := range t.SAView() {
 		if v == va {

@@ -10,16 +10,16 @@ import (
 )
 
 func smallTable() *table.Table {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2), table.NewIntegerAttribute("B", 4)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	rows := [][3]int{
 		{0, 0, 0}, {0, 1, 1}, {1, 2, 0}, {1, 3, 1},
 	}
 	for _, r := range rows {
-		tbl.MustAppendRow([]int{r[0], r[1]}, r[2])
+		tb.MustAppendRow([]int{r[0], r[1]}, r[2])
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestKLZeroForIdentityPartition(t *testing.T) {
@@ -44,11 +44,12 @@ func TestKLHandComputedExample(t *testing.T) {
 	// spreads each tuple uniformly over both attribute values, so
 	// f*(point) = 1/2 * 1/2 = 1/4 for the two observed points.
 	// KL = 2 * (1/2 * ln((1/2)/(1/4))) = ln 2.
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
-	tbl.MustAppendRow([]int{0}, 0)
-	tbl.MustAppendRow([]int{1}, 1)
+		table.NewIntegerAttribute("S", 2)), 0)
+	tb.MustAppendRow([]int{0}, 0)
+	tb.MustAppendRow([]int{1}, 1)
+	tbl := tb.Build()
 	g, err := generalize.Suppress(tbl, generalize.NewPartition([][]int{{0, 1}}))
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +89,14 @@ func TestKLMultiDimensionalNotWorseThanSuppression(t *testing.T) {
 	// Multi-dimensional generalization retains at least as much information
 	// as suppression of the same partition, so its KL must not be larger.
 	rng := rand.New(rand.NewSource(1))
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 6), table.NewIntegerAttribute("B", 6)},
-		table.NewIntegerAttribute("S", 3)))
+		table.NewIntegerAttribute("S", 3)), 0)
 	for i := 0; i < 60; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(6), rng.Intn(3)}, rng.Intn(3))
+		tb.MustAppendRow([]int{rng.Intn(6), rng.Intn(3)}, rng.Intn(3))
 	}
 	groups := make([][]int, 10)
+	tbl := tb.Build()
 	for r := 0; r < tbl.Len(); r++ {
 		groups[r%10] = append(groups[r%10], r)
 	}
@@ -129,9 +131,9 @@ func TestAuxiliaryMetrics(t *testing.T) {
 }
 
 func TestKLEmptyTable(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tbl := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0).Build()
 	g, err := generalize.Suppress(tbl, generalize.NewPartition(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +149,11 @@ func TestKLEmptyTable(t *testing.T) {
 // value, or exact and set cells carrying codes outside the domain) leaves a
 // point with zero induced mass.
 func TestKLRejectsUncoveredRecoding(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 3), table.NewIntegerAttribute("B", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for _, r := range [][3]int{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {2, 0, 0}, {2, 1, 1}} {
-		tbl.MustAppendRow([]int{r[0], r[1]}, r[2])
+		tb.MustAppendRow([]int{r[0], r[1]}, r[2])
 	}
 	star := generalize.Cell{Kind: generalize.CellStar}
 	exact := func(v int) generalize.Cell { return generalize.Cell{Kind: generalize.CellExact, Value: v} }
@@ -159,6 +161,7 @@ func TestKLRejectsUncoveredRecoding(t *testing.T) {
 	all := [][]int{{0, 1, 2, 3, 4, 5}}
 	byA := [][]int{{0, 1}, {2, 3}, {4, 5}}
 	rows := [][]int{{0}, {1}, {2}, {3}, {4}, {5}}
+	tbl := tb.Build()
 	for _, tc := range []struct {
 		name   string
 		groups [][]int

@@ -13,15 +13,15 @@ func randomTable(rng *rand.Rand, n, d, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(dom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(m))
+		tb.MustAppendRow(row, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestMondrianLDiverse(t *testing.T) {
@@ -46,15 +46,16 @@ func TestMondrianLDiverse(t *testing.T) {
 }
 
 func TestMondrianSplitsSeparableData(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("X", 10)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for i := 0; i < 20; i++ {
-		tbl.MustAppendRow([]int{i % 2}, i%2)
+		tb.MustAppendRow([]int{i % 2}, i%2)
 	}
 	for i := 0; i < 20; i++ {
-		tbl.MustAppendRow([]int{8 + i%2}, i%2)
+		tb.MustAppendRow([]int{8 + i%2}, i%2)
 	}
+	tbl := tb.Build()
 	p, err := NewAnonymizer(2).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)

@@ -13,24 +13,25 @@ import (
 )
 
 func buildTable(rng *rand.Rand, n int) *table.Table {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 8), table.NewIntegerAttribute("B", 5)},
-		table.NewIntegerAttribute("S", 4)))
+		table.NewIntegerAttribute("S", 4)), 0)
 	for i := 0; i < n; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(8), rng.Intn(5)}, rng.Intn(4))
+		tb.MustAppendRow([]int{rng.Intn(8), rng.Intn(5)}, rng.Intn(4))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestCountExact(t *testing.T) {
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	// A: 0,0,1,2,3 ; S: 0,1,0,1,0
 	for i, a := range []int{0, 0, 1, 2, 3} {
-		tbl.MustAppendRow([]int{a}, i%2)
+		tb.MustAppendRow([]int{a}, i%2)
 	}
 	q := Query{QIPredicates: map[int][]int{0: {0, 1}}}
+	tbl := tb.Build()
 	if got := q.CountExact(tbl); got != 3 {
 		t.Errorf("count = %d, want 3", got)
 	}
@@ -71,11 +72,12 @@ func TestEstimateIdentityIsExact(t *testing.T) {
 func TestEstimateHandComputed(t *testing.T) {
 	// Two tuples in one group; attribute A (domain 4) is suppressed. A query
 	// selecting half of A's domain should estimate half of each tuple.
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 4)},
-		table.NewIntegerAttribute("S", 2)))
-	tbl.MustAppendRow([]int{0}, 0)
-	tbl.MustAppendRow([]int{3}, 1)
+		table.NewIntegerAttribute("S", 2)), 0)
+	tb.MustAppendRow([]int{0}, 0)
+	tb.MustAppendRow([]int{3}, 1)
+	tbl := tb.Build()
 	g, err := generalize.Suppress(tbl, generalize.NewPartition([][]int{{0, 1}}))
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func readCSV(r io.Reader, qiColumns []string, saColumn string, workers, floor in
 		// reach that size by doubling anyway, so the worst case is unchanged.
 		rows = min(lines+1, (unread+1)/rd.need)
 	}
-	t := NewWithCapacity(schema, rows)
+	b := NewBuilder(schema, rows)
 	if sized && workers > 1 && rows == lines+1 {
 		// Every line fits the reservation at its own row, less the header's
 		// lines, so each chunk can write from the row its first line sits at.
@@ -115,16 +115,16 @@ func readCSV(r io.Reader, qiColumns []string, saColumn string, workers, floor in
 			for i := range chunks {
 				chunks[i] = spans[i*len(spans)/len(chunks)]
 			}
-			return rd.readChunks(t, lr, chunks, attrs, workers)
+			return rd.readChunks(b, lr, chunks, attrs, workers)
 		}
 	}
-	if err := rd.read(t, s, 0, attrs); err != nil {
+	if err := rd.read(b, s, 0, attrs); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return b.Build(), nil
 }
 
-// recordReader reads records into a table: idx holds the field index of
+// recordReader reads records into a table builder: idx holds the field index of
 // each QI column, then of the SA column, and need the fields a record must
 // have to reach all of them.
 type recordReader struct {
@@ -132,11 +132,11 @@ type recordReader struct {
 	need int
 }
 
-// read appends s's records to t, interning the selected fields into attrs,
+// read appends s's records to b, interning the selected fields into attrs,
 // which hold a QI attribute per column and then the SA. line0 is the number
 // of physical lines before s's first, so errors name lines of the whole
 // body.
-func (rd recordReader) read(t *Table, s *RecordScanner, line0 int, attrs []*Attribute) error {
+func (rd recordReader) read(b *Builder, s *RecordScanner, line0 int, attrs []*Attribute) error {
 	d := len(attrs) - 1
 	codes := make([]int, d)
 	for {
@@ -158,7 +158,7 @@ func (rd recordReader) read(t *Table, s *RecordScanner, line0 int, attrs []*Attr
 		for i, idx := range rd.idx[:d] {
 			codes[i] = attrs[i].EncodeBytes(s.Field(idx))
 		}
-		t.push(codes, attrs[d].EncodeBytes(s.Field(rd.idx[d])))
+		b.push(codes, attrs[d].EncodeBytes(s.Field(rd.idx[d])))
 	}
 }
 
@@ -167,21 +167,21 @@ func (rd recordReader) read(t *Table, s *RecordScanner, line0 int, attrs []*Attr
 type chunk struct {
 	off   int64
 	line  int          // physical lines before off
-	at    int          // t's row for the chunk's first line
+	at    int          // b's row for the chunk's first line
 	rows  int          // records read
 	attrs []*Attribute // dictionaries the chunk interned into
 	err   error
 }
 
 // readChunks reads the records of a quote-free body in chunks, on up to
-// workers goroutines, into t, whose reservation holds every line after the
-// header at its own row, and returns t. Chunk 0 interns into attrs, the
+// workers goroutines, into b, whose reservation holds every line after the
+// header at its own row, and returns the table b builds. Chunk 0 interns into attrs, the
 // schema's attributes; every later chunk into fresh ones, which are merged
 // into attrs in chunk order so each label keeps the code a sequential read
 // gives it, and the chunk's codes are remapped to those. The rows are then
 // moved down over the rows left empty by blank lines. The first chunk that
 // fails gives the error, which is the error a sequential read would return.
-func (rd recordReader) readChunks(t *Table, lr lenReader, chunks []chunk, attrs []*Attribute, workers int) (*Table, error) {
+func (rd recordReader) readChunks(b *Builder, lr lenReader, chunks []chunk, attrs []*Attribute, workers int) (*Table, error) {
 	end := lr.Size()
 	err := parallel.Run(workers, len(chunks), func(k int) error {
 		c := &chunks[k]
@@ -193,13 +193,13 @@ func (rd recordReader) readChunks(t *Table, lr lenReader, chunks []chunk, attrs 
 				c.attrs[j] = NewAttribute(a.name)
 			}
 		}
-		stop, room := end, t.cap-c.at
+		stop, room := end, b.cap-c.at
 		if k+1 < len(chunks) {
 			stop, room = chunks[k+1].off, chunks[k+1].line-c.line
 		}
-		w := t.window(c.at, room)
+		w := b.window(c.at, room)
 		c.err = rd.read(w, NewRecordScanner(io.NewSectionReader(lr, c.off, stop-c.off)), c.line, c.attrs)
-		c.rows = w.Len()
+		c.rows = len(w.sa)
 		return nil
 	})
 	if err != nil {
@@ -225,13 +225,13 @@ func (rd recordReader) readChunks(t *Table, lr lenReader, chunks []chunk, attrs 
 	d := len(attrs) - 1
 	err = parallel.Run(workers, len(chunks)-1, func(k int) error {
 		c, m := &chunks[k+1], remap[k+1]
-		for j, col := range t.cols {
+		for j, col := range b.cols {
 			seg := col[c.at : c.at+c.rows]
 			for i, v := range seg {
 				seg[i] = m[j][v]
 			}
 		}
-		seg := t.sa[c.at : c.at+c.rows]
+		seg := b.sa[c.at : c.at+c.rows]
 		for i, v := range seg {
 			seg[i] = int(m[d][v])
 		}
@@ -243,18 +243,18 @@ func (rd recordReader) readChunks(t *Table, lr lenReader, chunks []chunk, attrs 
 	n := 0
 	for _, c := range chunks {
 		if c.at != n {
-			for _, col := range t.cols {
+			for _, col := range b.cols {
 				copy(col[n:n+c.rows], col[c.at:c.at+c.rows])
 			}
-			copy(t.sa[n:n+c.rows], t.sa[c.at:c.at+c.rows])
+			copy(b.sa[n:n+c.rows], b.sa[c.at:c.at+c.rows])
 		}
 		n += c.rows
 	}
-	for j := range t.cols {
-		t.cols[j] = t.cols[j][:n]
+	for j := range b.cols {
+		b.cols[j] = b.cols[j][:n]
 	}
-	t.sa = t.sa[:n]
-	return t, nil
+	b.sa = b.sa[:n]
+	return b.Build(), nil
 }
 
 // lenReader is a reader that can report its unread length and read ahead

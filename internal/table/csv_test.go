@@ -61,7 +61,7 @@ func readCSVOracle(r io.Reader, qiColumns []string, saColumn string) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	t := New(schema)
+	tb := NewBuilder(schema, 0)
 	labels := make([]string, len(qiColumns))
 	for {
 		rec, err := cr.Read()
@@ -88,11 +88,11 @@ func readCSVOracle(r io.Reader, qiColumns []string, saColumn string) (*Table, er
 		if saIdx >= len(rec) {
 			return nil, fmt.Errorf("table: CSV line %d has %d fields, need column %d", line, len(rec), saIdx+1)
 		}
-		if err := t.AppendLabels(labels, rec[saIdx]); err != nil {
+		if err := tb.AppendLabels(labels, rec[saIdx]); err != nil {
 			return nil, err
 		}
 	}
-	return t, nil
+	return tb.Build(), nil
 }
 
 // sameTables reports how two tables differ in codes or label dictionaries,
@@ -454,8 +454,8 @@ func TestReadCSVReservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := min(strings.Count(body, "\n")+1, (len(body)+1)/need)
-			if got.cap != want || got.Len() > got.cap {
-				t.Fatalf("%d rows read into a reservation of %d, want %d", got.Len(), got.cap, want)
+			if cap(got.sa) != want || got.Len() > cap(got.sa) {
+				t.Fatalf("%d rows read into a reservation of %d, want %d", got.Len(), cap(got.sa), want)
 			}
 			checkAgainstOracle(t, []byte(body), []string{"A", "B"}, "S")
 		})

@@ -143,15 +143,15 @@ func TestGroupByQIRadixMatchesReference(t *testing.T) {
 		if val == nil {
 			val = func(j int) int { return rng.Intn(cards[j]) }
 		}
-		tbl := New(MustSchema(qi, NewIntegerAttribute("sa", 8)))
+		tb := NewBuilder(MustSchema(qi, NewIntegerAttribute("sa", 8)), 0)
 		row := make([]int, len(cards))
 		for i := 0; i < rows; i++ {
 			for j := range row {
 				row[j] = val(j)
 			}
-			tbl.MustAppendRow(row, rng.Intn(8))
+			tb.MustAppendRow(row, rng.Intn(8))
 		}
-		return tbl
+		return tb.Build()
 	}
 	repeat := func(c, k int) []int { return slices.Repeat([]int{c}, k) }
 	for _, tc := range []struct {
@@ -249,12 +249,12 @@ func TestGroupByQIReusesRankTables(t *testing.T) {
 	qi := []*Attribute{NewIntegerAttribute("a", 50), NewIntegerAttribute("b", 9)}
 	s := MustSchema(qi, NewIntegerAttribute("sa", 4))
 	mk := func(seed int64) *Table {
-		tbl := New(s)
+		tb := NewBuilder(s, 0)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 200; i++ {
-			tbl.MustAppendRow([]int{rng.Intn(50), rng.Intn(9)}, rng.Intn(4))
+			tb.MustAppendRow([]int{rng.Intn(50), rng.Intn(9)}, rng.Intn(4))
 		}
-		return tbl
+		return tb.Build()
 	}
 	t1, t2 := mk(1), mk(2)
 	t1.GroupByQI()
@@ -305,11 +305,12 @@ func BenchmarkGroupByQIRankCache(b *testing.B) {
 		NewIntegerAttribute("c", 17),
 		NewIntegerAttribute("d", 9),
 	}
-	tbl := New(MustSchema(qi, NewIntegerAttribute("sa", 24)))
+	tb := NewBuilder(MustSchema(qi, NewIntegerAttribute("sa", 24)), 0)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 8192; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(91), rng.Intn(2), rng.Intn(17), rng.Intn(9)}, rng.Intn(24))
+		tb.MustAppendRow([]int{rng.Intn(91), rng.Intn(2), rng.Intn(17), rng.Intn(9)}, rng.Intn(24))
 	}
+	tbl := tb.Build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -169,7 +169,7 @@ func TestColumnarMatchesReference(t *testing.T) {
 		saCard := rng.Intn(6) + 1
 		schema := MustSchema(qiAttrs, NewIntegerAttribute("S", saCard))
 
-		tbl := New(schema)
+		tb := NewBuilder(schema, 0)
 		ref := newRefTable(schema)
 		n := rng.Intn(80)
 		row := make([]int, d)
@@ -178,9 +178,10 @@ func TestColumnarMatchesReference(t *testing.T) {
 				row[j] = rng.Intn(cards[j])
 			}
 			sa := rng.Intn(saCard)
-			tbl.MustAppendRow(row, sa)
+			tb.MustAppendRow(row, sa)
 			ref.appendRow(row, sa)
 		}
+		tbl := tb.Build()
 		mustMatch(t, tbl, ref, "after appends")
 
 		// Random chain of projections and subsets over the same table.
@@ -269,44 +270,29 @@ func TestColumnarMatchesReferenceCSV(t *testing.T) {
 }
 
 // TestViewSemantics pins the sharing rules down: projections share their
-// parent's columns and reject appends, subsets own their rows and stay
-// consistent when the parent keeps growing, and Clone makes a dense
-// appendable copy.
+// parent's columns, subsets own their rows, and Clone makes a dense copy.
 func TestViewSemantics(t *testing.T) {
 	schema := MustSchema([]*Attribute{NewIntegerAttribute("A", 8)}, NewIntegerAttribute("S", 4))
-	tbl := New(schema)
+	tb := NewBuilder(schema, 0)
 	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow([]int{i % 8}, i%4)
+		tb.MustAppendRow([]int{i % 8}, i%4)
 	}
+	tbl := tb.Build()
 	v := tbl.Subset([]int{9, 3, 3, 0})
 	p, err := tbl.Project([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AppendRow([]int{1}, 1); err == nil {
-		t.Fatal("projection accepted an append")
+	if &p.Col(0)[0] != &tbl.Col(0)[0] || &p.SAView()[0] != &tbl.SAView()[0] {
+		t.Fatal("projection copied its parent's columns")
 	}
-
-	// Growing the parent must not disturb existing subsets, whether or not
-	// the arena reallocates.
-	wantQI := []int{1, 3, 3, 0}
-	wantSA := []int{1, 3, 3, 0}
-	for i := 0; i < 500; i++ {
-		tbl.MustAppendRow([]int{i % 8}, i%4)
-		for k := range wantQI {
-			if v.QIAt(k, 0) != wantQI[k] || v.SAValue(k) != wantSA[k] {
-				t.Fatalf("after %d appends: subset row %d = (%d,%d), want (%d,%d)",
-					i+1, k, v.QIAt(k, 0), v.SAValue(k), wantQI[k], wantSA[k])
-			}
-		}
+	if &v.Col(0)[0] == &tbl.Col(0)[0] {
+		t.Fatal("subset shares its parent's columns")
 	}
 
 	c := v.Clone()
 	if !c.Equal(v) {
 		t.Fatal("Clone differs from the subset it copied")
-	}
-	if err := c.AppendRow([]int{1}, 1); err != nil {
-		t.Fatalf("clone rejected append: %v", err)
 	}
 
 	// Subset of a subset picks rows of the subset.
@@ -314,11 +300,56 @@ func TestViewSemantics(t *testing.T) {
 	if vv.QIAt(0, 0) != 0 || vv.QIAt(1, 0) != 3 {
 		t.Fatalf("nested subset rows = %d,%d, want 0,3", vv.QIAt(0, 0), vv.QIAt(1, 0))
 	}
-	if err := vv.AppendRow([]int{1}, 1); err != nil {
-		t.Fatalf("subset rejected append: %v", err)
+}
+
+// TestBuildDetachesTable appends to a builder after Build, and again after a
+// second Build: the first table, its subset and its memoized grouping must
+// not change, and each Build returns only the rows appended since the last.
+func TestBuildDetachesTable(t *testing.T) {
+	schema := MustSchema([]*Attribute{NewIntegerAttribute("A", 8)}, NewIntegerAttribute("S", 4))
+	tb := NewBuilder(schema, 64) // room to spare, so appends could reach the first arena
+	for i := 0; i < 10; i++ {
+		tb.MustAppendRow([]int{i % 8}, i%4)
 	}
-	if vv.Len() != 3 || v.Len() != 4 {
-		t.Fatalf("after appending to the nested subset: lens %d and %d, want 3 and 4", vv.Len(), v.Len())
+	tbl := tb.Build()
+	sub := tbl.Subset([]int{9, 3, 3, 0})
+	groups := tbl.GroupByQI()
+	wantTbl, wantSub := tbl.Clone(), sub.Clone()
+	wantGroups := stringKeyGroups(tbl)
+	check := func(when string) {
+		t.Helper()
+		if !tbl.Equal(wantTbl) {
+			t.Fatalf("%s: the built table changed", when)
+		}
+		if !sub.Equal(wantSub) {
+			t.Fatalf("%s: the built table's subset changed", when)
+		}
+		got := tbl.GroupByQI()
+		if &got[0][0] != &groups[0][0] || !reflect.DeepEqual(got, wantGroups) {
+			t.Fatalf("%s: grouping %v, want the memoized %v", when, got, wantGroups)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		tb.MustAppendRow([]int{(i + 5) % 8}, (i+1)%4)
+	}
+	check("after appending to the builder")
+	second := tb.Build()
+	if second.Len() != 100 || second.QIAt(0, 0) != 5 || second.SAValue(0) != 1 {
+		t.Fatalf("second Build: %d rows, first (%d,%d), want the 100 appended after the first Build", second.Len(), second.QIAt(0, 0), second.SAValue(0))
+	}
+	wantSecond := second.Clone()
+	for i := 0; i < 100; i++ {
+		tb.MustAppendRow([]int{(i + 2) % 8}, (i+3)%4)
+	}
+	if err := tb.AppendLabels([]string{"new"}, "3"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second Build")
+	if !second.Equal(wantSecond) {
+		t.Fatal("after a second Build: the second table changed")
+	}
+	if third := tb.Build(); third.Len() != 101 {
+		t.Fatalf("third Build has %d rows, want 101", third.Len())
 	}
 }
 
@@ -330,10 +361,11 @@ func TestConcurrentViewReads(t *testing.T) {
 	schema := MustSchema(
 		[]*Attribute{NewIntegerAttribute("A", 13), NewIntegerAttribute("B", 7)},
 		NewIntegerAttribute("S", 5))
-	tbl := New(schema)
+	tb := NewBuilder(schema, 0)
 	for i := 0; i < 400; i++ {
-		tbl.MustAppendRow([]int{rng.Intn(13), rng.Intn(7)}, rng.Intn(5))
+		tb.MustAppendRow([]int{rng.Intn(13), rng.Intn(7)}, rng.Intn(5))
 	}
+	tbl := tb.Build()
 	want := tbl.GroupByQI()
 
 	done := make(chan [][]int, 8)
@@ -354,10 +386,6 @@ func TestConcurrentViewReads(t *testing.T) {
 				panic(err)
 			}
 			_ = p.GroupByQI()
-			for i, codes := range tbl.QIRows() {
-				_ = i
-				_ = codes
-			}
 			done <- tbl.GroupByQI()
 		}()
 	}

@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"iter"
 	"math/rand"
 	"slices"
 	"sort"
@@ -17,77 +16,154 @@ import (
 //
 // The layout is columnar: the QI codes live in d contiguous []int32 column
 // slices carved out of one shared arena allocation, next to the dense sa
-// slice, which is always allocated together with the arena at its capacity.
-// Scanning a column is a linear walk over one cache-friendly array —
+// slice. Scanning a column is a linear walk over one cache-friendly array —
 // there is no per-row allocation and no pointer chase — which is what every
 // algorithm layer (grouping, curve sorting, recoding, bucketization) leans
 // on. Codes are dictionary indices and therefore always fit in an int32.
 //
-// Every table is dense: row i lives at index i of every column. Subset and
-// Sample gather their rows into a new table that owns them. Project shares
-// the original's column storage instead, so a projection is copy-free but
-// rejects appends. Concurrent read-only use of a table and any number of
-// projections of it is safe.
-//
-// The zero value is not usable; construct tables with New.
+// A table is read-only once built: it has no mutating method, and its rows
+// come from a Builder, ReadCSV, Subset, Sample, Clone or Project. Every
+// table is dense: row i lives at index i of every column. Subset and Sample
+// gather their rows into a new table that owns them. Project shares the
+// original's column storage instead, so a projection is copy-free.
+// Concurrent use of a table and any number of projections of it is safe.
 type Table struct {
 	schema *Schema
 	cols   [][]int32 // cols[j][i] = QI j code of row i
 	sa     []int     // sa[i] = SA code of row i
-	cap    int       // arena capacity in rows (owning tables only)
-	shared bool      // columns are shared with another table; appends are rejected
 
-	// groups memoizes GroupByQI; nil until the first call, cleared by push.
-	// Subsets and projections are new Tables, so they never see their
-	// parent's memo.
+	// groups memoizes GroupByQI; nil until the first call. Subsets and
+	// projections are new Tables, so they never see their parent's memo.
 	groups atomic.Pointer[[][]int]
 }
 
-// New creates an empty table with the given schema.
-func New(schema *Schema) *Table {
-	return &Table{schema: schema, cols: make([][]int32, schema.Dimensions())}
+// Builder appends rows to a table under construction. Build hands the rows
+// over to a read-only Table.
+//
+// The zero value is not usable; construct builders with NewBuilder.
+type Builder struct {
+	schema *Schema
+	cols   [][]int32 // cols[j][i] = QI j code of row i
+	sa     []int     // sa[i] = SA code of row i
+	cap    int       // arena capacity in rows
 }
 
-// NewWithCapacity creates an empty table preallocated for the given number of
-// rows: the column arena and the SA column are allocated once, so appending
-// up to that many rows never reallocates.
-func NewWithCapacity(schema *Schema, rows int) *Table {
-	t := New(schema)
+// NewBuilder creates an empty builder for tables over schema. rows is a
+// capacity hint: the column arena and the SA column are allocated once for
+// that many rows, so appending up to that many never reallocates. With 0
+// they grow by doubling.
+func NewBuilder(schema *Schema, rows int) *Builder {
+	b := &Builder{schema: schema, cols: make([][]int32, schema.Dimensions())}
 	if rows > 0 {
-		t.grow(rows)
+		b.grow(rows)
 	}
+	return b
+}
+
+// Build returns the table of the rows appended so far and leaves the builder
+// empty: later appends start a new arena, so a builder never writes into a
+// table it has built.
+func (b *Builder) Build() *Table {
+	t := &Table{schema: b.schema, cols: b.cols, sa: b.sa}
+	b.cols, b.sa, b.cap = make([][]int32, len(b.cols)), nil, 0
 	return t
 }
 
-// grow reallocates the column arena and the SA column to hold exactly rows
-// rows, keeping the d QI columns contiguous inside one backing array. Each
-// column is capped at its arena segment so appending to one can never bleed
-// into the next.
-func (t *Table) grow(rows int) {
-	d := len(t.cols)
-	arena := make([]int32, d*rows)
-	n := len(t.sa)
-	for j := range t.cols {
+// carve moves the QI columns into one new arena of rows rows per column,
+// keeping the d columns contiguous inside one backing array and their first
+// n codes. Each column is capped at its arena segment so appending to one
+// can never bleed into the next.
+func carve(cols [][]int32, n, rows int) {
+	arena := make([]int32, len(cols)*rows)
+	for j, col := range cols {
 		seg := arena[j*rows : j*rows+n : (j+1)*rows]
-		copy(seg, t.cols[j])
-		t.cols[j] = seg
+		copy(seg, col)
+		cols[j] = seg
 	}
-	sa := make([]int, n, rows)
-	copy(sa, t.sa)
-	t.sa = sa
-	t.cap = rows
 }
 
-// window returns an empty table over rows [at, at+rows) of t's reservation,
-// which must hold them: appending to it writes t's columns in place, and it
-// never grows. t's own length is not changed.
-func (t *Table) window(at, rows int) *Table {
-	w := &Table{schema: t.schema, cols: make([][]int32, len(t.cols)), cap: rows}
-	for j, col := range t.cols {
+// grow reallocates the column arena and the SA column to hold exactly rows
+// rows, keeping the rows appended so far.
+func (b *Builder) grow(rows int) {
+	carve(b.cols, len(b.sa), rows)
+	sa := make([]int, len(b.sa), rows)
+	copy(sa, b.sa)
+	b.sa = sa
+	b.cap = rows
+}
+
+// window returns an empty builder over rows [at, at+rows) of b's
+// reservation, which must hold them: appending to it writes b's columns in
+// place, and it never grows. b's own length is not changed.
+func (b *Builder) window(at, rows int) *Builder {
+	w := &Builder{schema: b.schema, cols: make([][]int32, len(b.cols)), cap: rows}
+	for j, col := range b.cols {
 		w.cols[j] = col[at : at : at+rows]
 	}
-	w.sa = t.sa[at : at : at+rows]
+	w.sa = b.sa[at : at : at+rows]
 	return w
+}
+
+// push appends already-validated codes to the columns.
+func (b *Builder) push(qi []int, sa int) {
+	n := len(b.sa)
+	if n >= b.cap {
+		b.grow(max(2*b.cap, 64))
+	}
+	for j := range b.cols {
+		b.cols[j] = b.cols[j][:n+1]
+		b.cols[j][n] = int32(qi[j])
+	}
+	b.sa = b.sa[:n+1]
+	b.sa[n] = sa
+}
+
+// AppendRow adds a row given already-encoded QI codes and SA code. The QI
+// codes are copied into the columns. Codes are validated against the
+// attribute domains.
+func (b *Builder) AppendRow(qi []int, sa int) error {
+	d := b.schema.Dimensions()
+	if len(qi) != d {
+		return fmt.Errorf("table: row has %d QI values, schema has %d", len(qi), d)
+	}
+	for i, v := range qi {
+		if v < 0 || v >= b.schema.QI(i).Cardinality() {
+			return fmt.Errorf("table: QI value %d out of range for attribute %q (cardinality %d)",
+				v, b.schema.QI(i).Name(), b.schema.QI(i).Cardinality())
+		}
+	}
+	if sa < 0 || sa >= b.schema.SA().Cardinality() {
+		return fmt.Errorf("table: SA value %d out of range for attribute %q (cardinality %d)",
+			sa, b.schema.SA().Name(), b.schema.SA().Cardinality())
+	}
+	b.push(qi, sa)
+	return nil
+}
+
+// MustAppendRow is AppendRow but panics on error; for tests and generators.
+func (b *Builder) MustAppendRow(qi []int, sa int) {
+	if err := b.AppendRow(qi, sa); err != nil {
+		panic(err)
+	}
+}
+
+// AppendLabels adds a row given string labels, encoding (and extending the
+// attribute domains) as needed.
+func (b *Builder) AppendLabels(qi []string, sa string) error {
+	d := b.schema.Dimensions()
+	if len(qi) != d {
+		return fmt.Errorf("table: row has %d QI labels, schema has %d", len(qi), d)
+	}
+	var codes [16]int
+	row := codes[:0]
+	if d > len(codes) {
+		row = make([]int, 0, d)
+	}
+	for i, lab := range qi {
+		row = append(row, b.schema.QI(i).Encode(lab))
+	}
+	b.push(row, b.schema.SA().Encode(sa))
+	return nil
 }
 
 // Schema returns the table's schema.
@@ -98,79 +174,6 @@ func (t *Table) Len() int { return len(t.sa) }
 
 // Dimensions returns d, the number of QI attributes.
 func (t *Table) Dimensions() int { return t.schema.Dimensions() }
-
-// push appends already-validated codes to the columns and drops the
-// memoized grouping, which no longer covers every row.
-func (t *Table) push(qi []int, sa int) {
-	if t.groups.Load() != nil {
-		t.groups.Store(nil)
-	}
-	n := len(t.sa)
-	if n >= t.cap {
-		t.grow(max(2*t.cap, 64))
-	}
-	for j := range t.cols {
-		t.cols[j] = t.cols[j][:n+1]
-		t.cols[j][n] = int32(qi[j])
-	}
-	t.sa = t.sa[:n+1]
-	t.sa[n] = sa
-}
-
-// AppendRow adds a row given already-encoded QI codes and SA code. The QI
-// codes are copied into the columns. Codes are validated against the
-// attribute domains. Appending to a projection (any table sharing another
-// table's columns) is an error.
-func (t *Table) AppendRow(qi []int, sa int) error {
-	if t.shared {
-		return fmt.Errorf("table: cannot append to a projection, whose columns are shared")
-	}
-	d := t.schema.Dimensions()
-	if len(qi) != d {
-		return fmt.Errorf("table: row has %d QI values, schema has %d", len(qi), d)
-	}
-	for i, v := range qi {
-		if v < 0 || v >= t.schema.QI(i).Cardinality() {
-			return fmt.Errorf("table: QI value %d out of range for attribute %q (cardinality %d)",
-				v, t.schema.QI(i).Name(), t.schema.QI(i).Cardinality())
-		}
-	}
-	if sa < 0 || sa >= t.schema.SA().Cardinality() {
-		return fmt.Errorf("table: SA value %d out of range for attribute %q (cardinality %d)",
-			sa, t.schema.SA().Name(), t.schema.SA().Cardinality())
-	}
-	t.push(qi, sa)
-	return nil
-}
-
-// MustAppendRow is AppendRow but panics on error; for tests and generators.
-func (t *Table) MustAppendRow(qi []int, sa int) {
-	if err := t.AppendRow(qi, sa); err != nil {
-		panic(err)
-	}
-}
-
-// AppendLabels adds a row given string labels, encoding (and extending the
-// attribute domains) as needed.
-func (t *Table) AppendLabels(qi []string, sa string) error {
-	if t.shared {
-		return fmt.Errorf("table: cannot append to a projection, whose columns are shared")
-	}
-	d := t.schema.Dimensions()
-	if len(qi) != d {
-		return fmt.Errorf("table: row has %d QI labels, schema has %d", len(qi), d)
-	}
-	var codes [16]int
-	row := codes[:0]
-	if d > len(codes) {
-		row = make([]int, 0, d)
-	}
-	for i, lab := range qi {
-		row = append(row, t.schema.QI(i).Encode(lab))
-	}
-	t.push(row, t.schema.SA().Encode(sa))
-	return nil
-}
 
 // QIAt returns the code of the j-th QI attribute of row i. It is the scalar
 // accessor of the columnar layout; column-oriented scans should prefer Col.
@@ -189,23 +192,6 @@ func (t *Table) Col(j int) []int32 {
 // read-only.
 func (t *Table) SAView() []int { return t.sa[:len(t.sa):len(t.sa)] }
 
-// QIRows returns an allocation-free iterator over (row index, QI codes). The
-// codes slice is reused between iterations and must not be retained.
-func (t *Table) QIRows() iter.Seq2[int, []int32] {
-	return func(yield func(int, []int32) bool) {
-		buf := make([]int32, len(t.cols))
-		n := t.Len()
-		for i := 0; i < n; i++ {
-			for j, col := range t.cols {
-				buf[j] = col[i]
-			}
-			if !yield(i, buf) {
-				return
-			}
-		}
-	}
-}
-
 // SAValue returns the sensitive value code of row i.
 func (t *Table) SAValue(i int) int { return t.sa[i] }
 
@@ -215,49 +201,21 @@ func (t *Table) QILabel(i, j int) string { return t.schema.QI(j).Label(t.QIAt(i,
 // SALabel returns the sensitive label of row i.
 func (t *Table) SALabel(i int) string { return t.schema.SA().Label(t.SAValue(i)) }
 
-// SACardinality returns m, the number of distinct sensitive values that
-// actually appear in the table (which may be smaller than the SA attribute's
-// domain cardinality).
-func (t *Table) SACardinality() int {
-	seen := make([]bool, t.SADomainSize())
-	m := 0
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		if v := t.SAValue(i); !seen[v] {
-			seen[v] = true
-			m++
-		}
-	}
-	return m
-}
-
 // SADomainSize returns the size of the sensitive attribute's code domain.
-// Every SA code stored in the table is in [0, SADomainSize): AppendRow
+// Every SA code stored in the table is in [0, SADomainSize): Builder.AppendRow
 // validates codes against the domain and AppendLabels extends it. Dense
 // consumers (the TP core, slice-based eligibility tests) size flat arrays
 // with this bound instead of hashing codes.
 func (t *Table) SADomainSize() int { return t.schema.SA().Cardinality() }
 
 // SACounts returns the dense sensitive-value histogram: counts[v] is the
-// number of rows whose SA code is v, with len(counts) == SADomainSize. It is
-// the flat-array counterpart of SAHistogram.
+// number of rows whose SA code is v, with len(counts) == SADomainSize.
 func (t *Table) SACounts() []int {
 	counts := make([]int, t.SADomainSize())
 	for _, v := range t.sa {
 		counts[v]++
 	}
 	return counts
-}
-
-// SAHistogram returns the frequency of each sensitive value code appearing in
-// the table.
-func (t *Table) SAHistogram() map[int]int {
-	h := make(map[int]int)
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		h[t.SAValue(i)]++
-	}
-	return h
 }
 
 // SAGroupCounter histograms the sensitive values of row groups against one
@@ -327,11 +285,11 @@ func (t *Table) QIKey(i int) string {
 // row in lexicographic order), and rows within a group preserve table order.
 //
 // The grouping is computed once per table and memoized: later calls, from
-// any goroutine, return the same slices until an append clears the memo
-// (concurrent first calls may each compute an identical copy). Callers must
-// treat the groups as read-only — no element writes, no in-place sorting, no
-// appends — because every other caller of the same table shares them
-// (ldivlint's viewsafety analyzer flags such writes).
+// any goroutine, return the same slices (concurrent first calls may each
+// compute an identical copy). Callers must treat the groups as read-only —
+// no element writes, no in-place sorting, no appends — because every other
+// caller of the same table shares them (ldivlint's viewsafety analyzer flags
+// such writes).
 func (t *Table) GroupByQI() [][]int {
 	if g := t.groups.Load(); g != nil {
 		return *g
@@ -494,8 +452,7 @@ func bitsFor(c int) int {
 
 // Project returns a zero-copy projection containing only the QI columns
 // given by cols (in that order) plus the sensitive attribute. The projection
-// shares the original table's column storage, so no cell is copied, and it
-// rejects appends. Row order is preserved and attribute dictionaries are
+// shares the original table's column storage, so no cell is copied. Row order is preserved and attribute dictionaries are
 // shared with the original table.
 func (t *Table) Project(cols []int) (*Table, error) {
 	ps, err := t.schema.Project(cols)
@@ -503,7 +460,7 @@ func (t *Table) Project(cols []int) (*Table, error) {
 		return nil, err
 	}
 	n := len(t.sa)
-	p := &Table{schema: ps, cols: make([][]int32, len(cols)), sa: t.sa[:n:n], shared: true}
+	p := &Table{schema: ps, cols: make([][]int32, len(cols)), sa: t.sa[:n:n]}
 	for j, c := range cols {
 		p.cols[j] = t.cols[c][:n:n]
 	}
@@ -538,8 +495,8 @@ func (t *Table) Sample(k int, rng *rand.Rand) *Table {
 
 // Subset returns a new dense table holding the given rows, in the given
 // order. The schema is shared and the codes are copied, so the result owns
-// its rows and accepts appends. It panics if a row index is out of range,
-// like the indexing it replaces.
+// its rows. It panics if a row index is out of range, like the indexing it
+// replaces.
 func (t *Table) Subset(rows []int) *Table {
 	n := t.Len()
 	for _, r := range rows {
@@ -548,19 +505,14 @@ func (t *Table) Subset(rows []int) *Table {
 		}
 	}
 	k := len(rows)
-	out := New(t.schema)
-	if k == 0 {
-		return out
-	}
-	out.grow(k)
+	out := &Table{schema: t.schema, cols: make([][]int32, len(t.cols)), sa: make([]int, k)}
+	carve(out.cols, k, k)
 	for j, src := range t.cols {
-		dst := out.cols[j][:k]
+		dst := out.cols[j]
 		for i, r := range rows {
 			dst[i] = src[r]
 		}
-		out.cols[j] = dst
 	}
-	out.sa = out.sa[:k]
 	for i, r := range rows {
 		out.sa[i] = t.sa[r]
 	}
@@ -568,19 +520,12 @@ func (t *Table) Subset(rows []int) *Table {
 }
 
 // Clone returns a deep copy of the table sharing the same schema. The copy
-// owns its rows and accepts appends, even when t is a projection.
+// owns its rows, even when t is a projection, and has no memoized grouping.
 func (t *Table) Clone() *Table {
 	n := t.Len()
-	out := New(t.schema)
-	if n == 0 {
-		return out
-	}
-	out.grow(n)
-	for j, src := range t.cols {
-		out.cols[j] = out.cols[j][:n]
-		copy(out.cols[j], src[:n])
-	}
-	out.sa = append(out.sa, t.sa...)
+	out := &Table{schema: t.schema, cols: slices.Clone(t.cols), sa: make([]int, n)}
+	carve(out.cols, n, n)
+	copy(out.sa, t.sa)
 	return out
 }
 

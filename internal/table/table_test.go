@@ -113,7 +113,7 @@ func hospitalTable(t *testing.T) *Table {
 	gender := NewAttribute("Gender")
 	edu := NewAttribute("Education")
 	disease := NewAttribute("Disease")
-	tbl := New(MustSchema([]*Attribute{age, gender, edu}, disease))
+	tb := NewBuilder(MustSchema([]*Attribute{age, gender, edu}, disease), 0)
 	rows := [][4]string{
 		{"<30", "M", "Master", "HIV"},
 		{"<30", "M", "Master", "HIV"},
@@ -127,11 +127,11 @@ func hospitalTable(t *testing.T) *Table {
 		{">=50", "F", "HighSch", "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestTableBasics(t *testing.T) {
@@ -139,16 +139,26 @@ func TestTableBasics(t *testing.T) {
 	if tbl.Len() != 10 || tbl.Dimensions() != 3 {
 		t.Fatalf("len=%d d=%d", tbl.Len(), tbl.Dimensions())
 	}
-	if tbl.SACardinality() != 4 {
-		t.Errorf("SA cardinality = %d, want 4", tbl.SACardinality())
+	hist := saHistogram(tbl)
+	if len(hist) != 4 {
+		t.Errorf("SA cardinality = %d, want 4", len(hist))
 	}
-	hist := tbl.SAHistogram()
 	if hist[tbl.SAValue(0)] != 2 { // HIV appears twice
 		t.Errorf("HIV count = %d", hist[tbl.SAValue(0)])
 	}
 	if tbl.QILabel(2, 2) != "Bachelor" || tbl.SALabel(2) != "pneumonia" {
 		t.Error("label accessors wrong")
 	}
+}
+
+// saHistogram is the sparse-map histogram of the table's SA codes, the
+// oracle of SACounts.
+func saHistogram(tbl *Table) map[int]int {
+	h := make(map[int]int)
+	for _, v := range tbl.SAView() {
+		h[v]++
+	}
+	return h
 }
 
 func TestSACountsMatchesHistogram(t *testing.T) {
@@ -160,7 +170,7 @@ func TestSACountsMatchesHistogram(t *testing.T) {
 	if len(counts) != tbl.SADomainSize() {
 		t.Fatalf("len(SACounts) = %d, want %d", len(counts), tbl.SADomainSize())
 	}
-	hist := tbl.SAHistogram()
+	hist := saHistogram(tbl)
 	total := 0
 	for v, c := range counts {
 		if c != hist[v] {
@@ -180,51 +190,58 @@ func TestSACountsMatchesHistogram(t *testing.T) {
 }
 
 func TestAppendRowValidation(t *testing.T) {
-	tbl := New(MustSchema([]*Attribute{NewIntegerAttribute("A", 2)}, NewIntegerAttribute("B", 2)))
-	if err := tbl.AppendRow([]int{0, 1}, 0); err == nil {
+	tb := NewBuilder(MustSchema([]*Attribute{NewIntegerAttribute("A", 2)}, NewIntegerAttribute("B", 2)), 0)
+	if err := tb.AppendRow([]int{0, 1}, 0); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if err := tbl.AppendRow([]int{5}, 0); err == nil {
+	if err := tb.AppendRow([]int{5}, 0); err == nil {
 		t.Error("out-of-range QI accepted")
 	}
-	if err := tbl.AppendRow([]int{1}, 9); err == nil {
+	if err := tb.AppendRow([]int{1}, 9); err == nil {
 		t.Error("out-of-range SA accepted")
 	}
-	if err := tbl.AppendRow([]int{1}, 1); err != nil {
+	if err := tb.AppendRow([]int{1}, 1); err != nil {
 		t.Errorf("valid row rejected: %v", err)
 	}
 }
 
-// TestSAGrowsWithArena checks that every owning table's SA column is
-// allocated with its QI arena, at the same capacity, so filling a reserved
-// table allocates nothing and outgrowing it reallocates both together.
+// TestSAGrowsWithArena checks that a builder's SA column is allocated with
+// its QI arena, at the same capacity, so filling a reservation allocates
+// nothing and outgrowing it reallocates both together, and that Subset,
+// Sample and Clone allocate their rows exactly once.
 func TestSAGrowsWithArena(t *testing.T) {
 	sch := MustSchema([]*Attribute{NewIntegerAttribute("A", 2), NewIntegerAttribute("B", 2)}, NewIntegerAttribute("S", 2))
-	reserved := NewWithCapacity(sch, 100)
+	reserved := NewBuilder(sch, 100)
 	if allocs := testing.AllocsPerRun(99, func() { reserved.MustAppendRow([]int{0, 1}, 1) }); allocs != 0 {
 		t.Errorf("appending within the reservation allocated %.0f times per row", allocs)
 	}
-	if reserved.Len() != 100 || reserved.cap != 100 {
-		t.Fatalf("len %d, capacity %d after filling a reservation of 100", reserved.Len(), reserved.cap)
+	if len(reserved.sa) != 100 || reserved.cap != 100 {
+		t.Fatalf("len %d, capacity %d after filling a reservation of 100", len(reserved.sa), reserved.cap)
 	}
 	reserved.MustAppendRow([]int{1, 0}, 0)
+	if reserved.cap != 200 || cap(reserved.sa) != 200 || cap(reserved.cols[0]) != 200 {
+		t.Errorf("outgrown reservation: capacity %d, SA capacity %d, want 200", reserved.cap, cap(reserved.sa))
+	}
+	outgrown := reserved.Build()
+	if outgrown.SAValue(100) != 0 || outgrown.QIAt(99, 1) != 1 {
+		t.Error("outgrown reservation: rows lost in the copy")
+	}
 	hospital := hospitalTable(t)
 	for _, tc := range []struct {
-		name string
-		tbl  *Table
+		name  string
+		tbl   *Table
+		exact bool
 	}{
-		{"outgrown reservation", reserved},
-		{"grown by appends", hospital},
-		{"subset", hospital.Subset([]int{3, 1, 4})},
-		{"sample", hospital.Sample(5, rand.New(rand.NewSource(1)))},
-		{"clone", hospital.Clone()},
+		{"outgrown reservation", outgrown, false},
+		{"grown by appends", hospital, false},
+		{"subset", hospital.Subset([]int{3, 1, 4}), true},
+		{"sample", hospital.Sample(5, rand.New(rand.NewSource(1))), true},
+		{"clone", hospital.Clone(), true},
 	} {
-		if tbl := tc.tbl; cap(tbl.sa) != tbl.cap || cap(tbl.cols[0]) != tbl.cap || tbl.Len() > tbl.cap {
-			t.Errorf("%s: %d rows, arena capacity %d, SA capacity %d", tc.name, tbl.Len(), tbl.cap, cap(tbl.sa))
+		tbl := tc.tbl
+		if cap(tbl.sa) != cap(tbl.cols[0]) || tbl.Len() > cap(tbl.sa) || tc.exact && cap(tbl.sa) != tbl.Len() {
+			t.Errorf("%s: %d rows, arena capacity %d, SA capacity %d", tc.name, tbl.Len(), cap(tbl.cols[0]), cap(tbl.sa))
 		}
-	}
-	if reserved.cap != 200 || reserved.SAValue(100) != 0 || reserved.QIAt(99, 1) != 1 {
-		t.Errorf("outgrown reservation: capacity %d, want 200, or rows lost in the copy", reserved.cap)
 	}
 }
 
@@ -276,13 +293,14 @@ func stringKeyGroups(tbl *Table) [][]int {
 func TestGroupByQIMatchesStringKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		tbl := New(MustSchema(
+		tb := NewBuilder(MustSchema(
 			[]*Attribute{NewIntegerAttribute("A", 13), NewIntegerAttribute("B", 101), NewIntegerAttribute("C", 3)},
-			NewIntegerAttribute("S", 4)))
+			NewIntegerAttribute("S", 4)), 0)
 		n := rng.Intn(60) + 1
 		for i := 0; i < n; i++ {
-			tbl.MustAppendRow([]int{rng.Intn(13), rng.Intn(101), rng.Intn(3)}, rng.Intn(4))
+			tb.MustAppendRow([]int{rng.Intn(13), rng.Intn(101), rng.Intn(3)}, rng.Intn(4))
 		}
+		tbl := tb.Build()
 		got := tbl.GroupByQI()
 		want := stringKeyGroups(tbl)
 		if len(got) != len(want) {
@@ -294,37 +312,6 @@ func TestGroupByQIMatchesStringKeyOrder(t *testing.T) {
 					trial, g, got[g], want[g], tbl.QIKey(want[g][0]))
 			}
 		}
-	}
-}
-
-// TestGroupByQIMemoClearedByAppend groups a table, appends through both
-// append paths, and groups again: the memo must not outlive the append.
-func TestGroupByQIMemoClearedByAppend(t *testing.T) {
-	tbl := hospitalTable(t)
-	first := tbl.GroupByQI()
-	if again := tbl.GroupByQI(); &again[0][0] != &first[0][0] {
-		t.Fatal("second GroupByQI on an unchanged table regrouped instead of reusing the memo")
-	}
-	tbl.MustAppendRow([]int{0, 0, 0}, 0)
-	if got, want := tbl.GroupByQI(), tbl.Clone().GroupByQI(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after AppendRow: got %v, want a fresh table's %v", got, want)
-	}
-	if err := tbl.AppendLabels([]string{"99999", "99", "nurse"}, "flu"); err != nil {
-		t.Fatal(err)
-	}
-	got, want := tbl.GroupByQI(), tbl.Clone().GroupByQI()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("after AppendLabels: got %v, want a fresh table's %v", got, want)
-	}
-	if !reflect.DeepEqual(got, stringKeyGroups(tbl)) {
-		t.Fatalf("after appends: got %v, want %v", got, stringKeyGroups(tbl))
-	}
-	covered := 0
-	for _, g := range got {
-		covered += len(g)
-	}
-	if covered != tbl.Len() {
-		t.Fatalf("grouping covers %d of %d rows after appends", covered, tbl.Len())
 	}
 }
 
@@ -490,12 +477,13 @@ func TestGroupByQIPropertyQuick(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%40) + 1
-		tbl := New(MustSchema(
+		tb := NewBuilder(MustSchema(
 			[]*Attribute{NewIntegerAttribute("A", 3), NewIntegerAttribute("B", 2)},
-			NewIntegerAttribute("S", 4)))
+			NewIntegerAttribute("S", 4)), 0)
 		for i := 0; i < n; i++ {
-			tbl.MustAppendRow([]int{rng.Intn(3), rng.Intn(2)}, rng.Intn(4))
+			tb.MustAppendRow([]int{rng.Intn(3), rng.Intn(2)}, rng.Intn(4))
 		}
+		tbl := tb.Build()
 		groups := tbl.GroupByQI()
 		seen := make([]bool, n)
 		for _, g := range groups {

@@ -15,15 +15,15 @@ func randomTable(rng *rand.Rand, n, d, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	row := make([]int, d)
 	for i := 0; i < n; i++ {
 		for j := range row {
 			row[j] = rng.Intn(dom)
 		}
-		tbl.MustAppendRow(row, rng.Intn(m))
+		tb.MustAppendRow(row, rng.Intn(m))
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestTDSProducesLDiverseSingleDimensional(t *testing.T) {
@@ -66,15 +66,16 @@ func TestTDSProducesLDiverseSingleDimensional(t *testing.T) {
 func TestTDSSpecializesWhenSafe(t *testing.T) {
 	// Two clearly separable clusters with diverse SA values: TDS must not
 	// stay at the root (it can at least split the first attribute).
-	tbl := table.New(table.MustSchema(
+	tb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 8)},
-		table.NewIntegerAttribute("S", 4)))
+		table.NewIntegerAttribute("S", 4)), 0)
 	for i := 0; i < 40; i++ {
-		tbl.MustAppendRow([]int{i % 4}, i%4)
+		tb.MustAppendRow([]int{i % 4}, i%4)
 	}
 	for i := 0; i < 40; i++ {
-		tbl.MustAppendRow([]int{4 + i%4}, i%4)
+		tb.MustAppendRow([]int{4 + i%4}, i%4)
 	}
+	tbl := tb.Build()
 	g, err := NewAnonymizer(2).Anonymize(tbl)
 	if err != nil {
 		t.Fatal(err)

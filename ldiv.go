@@ -53,6 +53,9 @@ type (
 	// Table is a microdata table with categorical QI attributes and one
 	// sensitive attribute.
 	Table = table.Table
+	// TableBuilder appends rows to a table under construction; its Build
+	// returns the read-only Table.
+	TableBuilder = table.Builder
 	// Attribute is a categorical attribute with a label dictionary.
 	Attribute = table.Attribute
 	// Schema describes a table's QI attributes and sensitive attribute.
@@ -84,8 +87,8 @@ func NewIntegerAttribute(name string, cardinality int) *Attribute {
 // NewSchema builds a schema from QI attributes and a sensitive attribute.
 func NewSchema(qi []*Attribute, sa *Attribute) (*Schema, error) { return table.NewSchema(qi, sa) }
 
-// NewTable creates an empty table over the schema.
-func NewTable(schema *Schema) *Table { return table.New(schema) }
+// NewTableBuilder creates an empty table builder over the schema.
+func NewTableBuilder(schema *Schema) *TableBuilder { return table.NewBuilder(schema, 0) }
 
 // ReadCSV reads microdata from CSV, treating qiColumns as QI attributes and
 // saColumn as the sensitive attribute. Each selected column must be named
@@ -261,10 +264,6 @@ func Suppress(t *Table, p *Partition) (*Generalized, error) { return generalize.
 func MultiDimensional(t *Table, p *Partition) (*Generalized, error) {
 	return generalize.MultiDimensional(t, p)
 }
-
-// Stars returns the number of stars of a partition's suppression
-// generalization, the objective of star minimization (Problem 1).
-func Stars(t *Table, p *Partition) int { return generalize.StarsForPartition(t, p) }
 
 // KLDivergence measures the information loss of a generalized table as the
 // KL-divergence between the distribution it induces and the microdata

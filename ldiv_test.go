@@ -18,7 +18,7 @@ func buildHospital(t testing.TB) *ldiv.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := ldiv.NewTable(schema)
+	tb := ldiv.NewTableBuilder(schema)
 	rows := [][4]string{
 		{"<30", "M", "Master", "HIV"},
 		{"<30", "M", "Master", "HIV"},
@@ -32,11 +32,11 @@ func buildHospital(t testing.TB) *ldiv.Table {
 		{">=50", "F", "HighSch", "pneumonia"},
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
+		if err := tb.AppendLabels([]string{r[0], r[1], r[2]}, r[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestPublicAPIPipelines(t *testing.T) {
@@ -169,13 +169,14 @@ func TestPublicAPITwoDiverseOptimum(t *testing.T) {
 	schema, _ := ldiv.NewSchema(
 		[]*ldiv.Attribute{ldiv.NewIntegerAttribute("A", 3), ldiv.NewIntegerAttribute("B", 3)},
 		ldiv.NewIntegerAttribute("S", 2))
-	tbl := ldiv.NewTable(schema)
+	tb := ldiv.NewTableBuilder(schema)
 	pairs := [][3]int{{0, 0, 0}, {0, 0, 1}, {1, 1, 0}, {1, 1, 1}, {2, 2, 0}, {2, 2, 1}}
 	for _, p := range pairs {
-		if err := tbl.AppendRow([]int{p[0], p[1]}, p[2]); err != nil {
+		if err := tb.AppendRow([]int{p[0], p[1]}, p[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	tbl := tb.Build()
 	p, stars, err := ldiv.OptimalTwoDiverse(tbl)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 #!/bin/sh
-# docs-lint.sh fails if docs/ARCHITECTURE.md or examples/README.md reference a
-# package directory (internal/..., cmd/..., examples/...) that no longer
+# docs-lint.sh fails if docs/ARCHITECTURE.md, examples/README.md or README.md
+# reference a package directory (internal/..., cmd/..., examples/...) that no longer
 # exists, so the documentation cannot silently drift from the tree. CI runs
 # this on every push.
 set -eu
@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
-for f in docs/ARCHITECTURE.md examples/README.md; do
+for f in docs/ARCHITECTURE.md examples/README.md README.md; do
     if [ ! -f "$f" ]; then
         echo "docs-lint: $f is missing" >&2
         fail=1
