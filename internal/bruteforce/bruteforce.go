@@ -50,9 +50,11 @@ func OptimalStars(t *table.Table, l int) (int, *generalize.Partition, error) {
 					return
 				}
 			}
-			p := generalize.NewPartition(groups)
-			stars := generalize.StarsForPartition(t, p)
-			if stars < best {
+			g, err := generalize.Suppress(t, generalize.NewPartition(groups))
+			if err != nil {
+				panic(err) // groups partition the rows by construction
+			}
+			if stars := g.Stars(); stars < best {
 				best = stars
 				bestGroups = groups
 			}
@@ -104,10 +106,10 @@ func OptimalSuppressedTuples(t *table.Table, l int) (int, []int, error) {
 			continue
 		}
 		// Histograms of what remains per group and of the removed set.
-		removedHist := make(map[int]int)
-		keptHists := make([]map[int]int, len(groups))
+		removedHist := make([]int, t.SADomainSize())
+		keptHists := make([][]int, len(groups))
 		for gi := range groups {
-			keptHists[gi] = make(map[int]int)
+			keptHists[gi] = make([]int, t.SADomainSize())
 		}
 		for r := 0; r < n; r++ {
 			if mask&(1<<uint(r)) != 0 {
@@ -116,9 +118,9 @@ func OptimalSuppressedTuples(t *table.Table, l int) (int, []int, error) {
 				keptHists[groupOf[r]][t.SAValue(r)]++
 			}
 		}
-		ok := eligibility.IsEligibleHistogram(removedHist, l)
+		ok := eligibility.IsEligibleCounts(removedHist, l)
 		for gi := 0; ok && gi < len(groups); gi++ {
-			if !eligibility.IsEligibleHistogram(keptHists[gi], l) {
+			if !eligibility.IsEligibleCounts(keptHists[gi], l) {
 				ok = false
 			}
 		}

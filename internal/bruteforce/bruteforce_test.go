@@ -15,11 +15,11 @@ func smallTable(qiVals [][]int, saVals []int, dom, m int) *table.Table {
 	for j := 0; j < d; j++ {
 		qi[j] = table.NewIntegerAttribute(string(rune('A'+j)), dom)
 	}
-	tbl := table.New(table.MustSchema(qi, table.NewIntegerAttribute("S", m)))
+	tb := table.NewBuilder(table.MustSchema(qi, table.NewIntegerAttribute("S", m)), 0)
 	for i := range saVals {
-		tbl.MustAppendRow(qiVals[i], saVals[i])
+		tb.MustAppendRow(qiVals[i], saVals[i])
 	}
-	return tbl
+	return tb.Build()
 }
 
 func TestOptimalStarsHospitalFragment(t *testing.T) {
@@ -50,7 +50,11 @@ func TestOptimalStarsForcedSuppression(t *testing.T) {
 	if stars != 2 {
 		t.Errorf("optimal stars = %d, want 2", stars)
 	}
-	if got := generalize.StarsForPartition(tbl, p); got != stars {
+	g, err := generalize.Suppress(tbl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Stars(); got != stars {
 		t.Errorf("partition stars %d != reported %d", got, stars)
 	}
 }
@@ -92,12 +96,13 @@ func TestOptimalSuppressedTuples(t *testing.T) {
 }
 
 func TestBruteForceErrors(t *testing.T) {
-	big := table.New(table.MustSchema(
+	bigb := table.NewBuilder(table.MustSchema(
 		[]*table.Attribute{table.NewIntegerAttribute("A", 2)},
-		table.NewIntegerAttribute("S", 2)))
+		table.NewIntegerAttribute("S", 2)), 0)
 	for i := 0; i < MaxRows+1; i++ {
-		big.MustAppendRow([]int{i % 2}, i%2)
+		bigb.MustAppendRow([]int{i % 2}, i%2)
 	}
+	big := bigb.Build()
 	if _, _, err := OptimalStars(big, 2); err == nil {
 		t.Error("oversized table accepted")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ldiv/internal/bruteforce"
 	"ldiv/internal/core"
 	"ldiv/internal/eligibility"
 	"ldiv/internal/hilbert"
@@ -218,7 +219,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		}
 		checkResult(t, tbl, res, l)
 
-		optTuples, _, err := optimalSuppressedTuples(tbl, l)
+		optTuples, _, err := bruteforce.OptimalSuppressedTuples(tbl, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			t.Fatalf("phase-2 termination with |R| = %d but OPT+l-1 = %d", res.SuppressedTuples(), optTuples+l-1)
 		}
 
-		optStars, _, err := optimalStars(tbl, l)
+		optStars, _, err := bruteforce.OptimalStars(tbl, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestL2AgainstOptimalPlusOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := optimalSuppressedTuples(tbl, 2)
+		opt, _, err := bruteforce.OptimalSuppressedTuples(tbl, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

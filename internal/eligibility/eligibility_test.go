@@ -19,25 +19,54 @@ func smallTable(t *testing.T, saValues []int) *table.Table {
 	return tb.Build()
 }
 
-func TestIsEligibleCounts(t *testing.T) {
+// dense turns a sparse SA histogram into the dense counts slice that
+// SACounts returns, indexed by SA value.
+func dense(hist map[int]int) []int {
+	counts := []int{}
+	for v, c := range hist {
+		for len(counts) <= v {
+			counts = append(counts, 0)
+		}
+		counts[v] = c
+	}
+	return counts
+}
+
+func TestMaxFrequency(t *testing.T) {
+	if MaxFrequencyCounts(dense(nil)) != 0 {
+		t.Error("empty histogram should have max frequency 0")
+	}
+	hist := map[int]int{1: 3, 2: 5, 3: 1}
+	if got := MaxFrequencyCounts(dense(hist)); got != 5 {
+		t.Errorf("MaxFrequencyCounts = %d, want 5", got)
+	}
+	if got := histMax(hist); got != 5 {
+		t.Errorf("histMax = %d, want 5", got)
+	}
+}
+
+func TestIsEligibleHistogram(t *testing.T) {
 	cases := []struct {
-		counts []int
-		l      int
-		want   bool
+		hist map[int]int
+		l    int
+		want bool
 	}{
-		{[]int{}, 3, true},
-		{[]int{0, 1}, 1, true},
-		{[]int{0, 1}, 2, false},
-		{[]int{0, 1, 1}, 2, true},
-		{[]int{0, 2, 1}, 2, false},
-		{[]int{0, 2, 2}, 2, true},
-		{[]int{0, 2, 1, 1}, 2, true},
-		{[]int{0, 3, 3, 3}, 3, true},
-		{[]int{0, 4, 3, 3}, 3, false},
+		{map[int]int{}, 3, true},
+		{map[int]int{1: 1}, 1, true},
+		{map[int]int{1: 1}, 2, false},
+		{map[int]int{1: 1, 2: 1}, 2, true},
+		{map[int]int{1: 2, 2: 1}, 2, false},
+		{map[int]int{1: 2, 2: 2}, 2, true},
+		{map[int]int{1: 2, 2: 1, 3: 1}, 2, true},
+		{map[int]int{1: 3, 2: 3, 3: 3}, 3, true},
+		{map[int]int{1: 4, 2: 3, 3: 3}, 3, false},
 	}
 	for i, c := range cases {
-		if got := IsEligibleCounts(c.counts, c.l); got != c.want {
-			t.Errorf("case %d: IsEligibleCounts(%v, %d) = %v, want %v", i, c.counts, c.l, got, c.want)
+		if got := IsEligibleCounts(dense(c.hist), c.l); got != c.want {
+			t.Errorf("case %d: IsEligibleCounts(%v, %d) = %v, want %v", i, dense(c.hist), c.l, got, c.want)
+		}
+		if got := histEligible(c.hist, c.l); got != c.want {
+			t.Errorf("case %d: histEligible(%v, %d) = %v, want %v", i, c.hist, c.l, got, c.want)
 		}
 	}
 }
